@@ -42,7 +42,7 @@ usage:
              [--output <out.vtk>] [--trace <trace.json>]
   dfgc plan  --expr <program> --grid NXxNYxNZ
   dfgc profile <program> [--grid NXxNYxNZ | --input <in.vtk>]
-             [--device cpu|gpu] [--out-dir <dir>] [--branch-parallel on|off]
+             [--device cpu|gpu] [--out-dir <dir>]
              [--opt off|cse|default|fast] [--verify off|residents|full]
              [--stream <overlap-depth>] [--budget-mb <n>]
   dfgc insitu [--cycles <n>] [--grid NXxNYxNZ] [--expr <program>]
@@ -595,11 +595,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
     };
     let fields = fieldset_of(&ds);
     let profile = device_of(args.get("device"))?;
-    let branch_parallel = match args.get("branch-parallel").unwrap_or("off") {
-        "on" | "true" | "1" => true,
-        "off" | "false" | "0" => false,
-        other => return Err(format!("--branch-parallel takes on|off, got `{other}`")),
-    };
     let opt_level = match args.get("opt") {
         Some(s) => dfg_dataflow::OptLevel::parse(s)
             .ok_or_else(|| format!("--opt takes off|cse|default|fast, got `{s}`"))?,
@@ -626,7 +621,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         peak_mb: f64,
         flame: String,
         path: std::path::PathBuf,
-        levels: Vec<(u64, u64)>,
         checks: u64,
         violations: u64,
         unverified_wall_ms: Option<f64>,
@@ -637,7 +631,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         let mut engine = Engine::with_options(
             profile.clone(),
             EngineOptions {
-                branch_parallel,
                 optimize: opt_level,
                 verify,
                 ..EngineOptions::default()
@@ -654,7 +647,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             let mut base = Engine::with_options(
                 profile.clone(),
                 EngineOptions {
-                    branch_parallel,
                     optimize: opt_level,
                     ..EngineOptions::default()
                 },
@@ -670,18 +662,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         let path = out_dir.join(format!("trace-{}.json", strategy.name()));
         std::fs::write(&path, trace.to_chrome_trace())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        // Per-level fan-out recorded by the branch-parallel executor.
-        let levels: Vec<(u64, u64)> = trace
-            .spans()
-            .iter()
-            .filter(|s| s.name == "exec.level")
-            .map(|s| {
-                (
-                    s.meta_u64("level").unwrap_or(0),
-                    s.meta_u64("fanout").unwrap_or(0),
-                )
-            })
-            .collect();
         rows.push(Row {
             name: strategy.name(),
             table2: report.table2_row(),
@@ -690,7 +670,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             peak_mb: report.high_water_bytes() as f64 / 1e6,
             flame: trace.to_flame_text(),
             path,
-            levels,
             checks: report.integrity.checks,
             violations: report.integrity.violations,
             unverified_wall_ms,
@@ -750,17 +729,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
             row.path.display()
         );
         print!("{}", row.flame);
-        if !row.levels.is_empty() {
-            let fanned: Vec<String> = row
-                .levels
-                .iter()
-                .map(|(level, fanout)| format!("L{level}\u{00d7}{fanout}"))
-                .collect();
-            println!(
-                "  branch-parallel levels (fan-out \u{2265} 2): {}",
-                fanned.join(" ")
-            );
-        }
     }
     // Optional fourth column: the overlapped streamed pipeline at the
     // requested depth, with its queue-level occupancy breakdown.
@@ -782,7 +750,6 @@ fn cmd_profile(raw: &[String]) -> Result<(), String> {
         let mut engine = Engine::with_options(
             profile.clone(),
             EngineOptions {
-                branch_parallel,
                 optimize: opt_level,
                 verify,
                 stream: dfg_core::StreamOptions {

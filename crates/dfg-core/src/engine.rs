@@ -9,8 +9,9 @@ use dfg_trace::{span, Trace, Tracer};
 
 use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
-use crate::recovery::{run_with_recovery, RecoveryCtx, RecoveryPolicy, RecoveryReport, Request};
-use crate::strategies::{check_field, lanes_for, run_fusion, run_roundtrip, run_staged};
+use crate::recovery::{run_with_recovery, ExecLevel, RecoveryPolicy, RecoveryReport};
+use crate::session::SessionState;
+use crate::strategies::{check_field, lanes_for};
 use crate::workloads::Workload;
 
 /// Engine configuration.
@@ -24,30 +25,15 @@ pub struct EngineOptions {
     /// produces Table II's Dev-W counts of 11/32/123); this knob measures
     /// what that design decision costs.
     pub roundtrip_dedup_uploads: bool,
-    /// Deprecated alias for `optimize: OptLevel::Cse` (DESIGN.md D2): apply
-    /// full common-subexpression elimination after lowering, instead of the
-    /// paper's *limited* CSE. Kept so existing ablation call sites keep
-    /// working; it only takes effect when `optimize` is `OptLevel::Off`
-    /// (see [`EngineOptions::effective_opt_level`]). New code should set
-    /// `optimize` instead.
-    pub full_cse: bool,
     /// Optimizer pipeline level applied after lowering (see
     /// `dfg_dataflow::optimize`): `Off` reproduces the paper's limited-CSE
     /// networks exactly (the default — Table II's counts depend on it),
     /// `Cse` adds hash-consed global CSE, `Default` adds constant folding
     /// and bit-exact identity rewrites, and `Fast` adds value-changing
     /// rewrites like `sqrt(x)^2 → x`. Every level through `Default`
-    /// produces bit-identical outputs; `Fast` may differ by ~1 ulp.
+    /// produces bit-identical outputs; `Fast` may differ by ~1 ulp. `Cse`
+    /// is the D2 ablation: full CSE instead of the paper's limited CSE.
     pub optimize: OptLevel,
-    /// Branch-parallel staged execution: walk the schedule's dependency
-    /// levels and dispatch each level's mutually independent kernels
-    /// concurrently on the `dfg-exec` pool (one batch launch per level)
-    /// instead of one kernel at a time. Outputs are bit-identical and
-    /// device events stay in deterministic level/id order, but buffers are
-    /// freed per *level* rather than per step, so the allocation high-water
-    /// mark can differ from the paper's serial walk — hence opt-in.
-    /// Affects the staged strategy only.
-    pub branch_parallel: bool,
     /// Response to device failures: retry budget for transient faults and
     /// whether persistent ones walk the strategy fallback chain (see
     /// `docs/ROBUSTNESS.md`). Disabled by default — failures surface
@@ -114,25 +100,10 @@ impl Default for EngineOptions {
         EngineOptions {
             mode: ExecMode::Real,
             roundtrip_dedup_uploads: false,
-            full_cse: false,
             optimize: OptLevel::Off,
-            branch_parallel: false,
             recovery: RecoveryPolicy::disabled(),
             stream: StreamOptions::default(),
             verify: dfg_ocl::VerifyPolicy::Off,
-        }
-    }
-}
-
-impl EngineOptions {
-    /// The optimizer level actually applied: `optimize`, except that the
-    /// deprecated `full_cse` ablation flag maps to [`OptLevel::Cse`] when
-    /// `optimize` is still `Off`.
-    pub fn effective_opt_level(&self) -> OptLevel {
-        if self.optimize == OptLevel::Off && self.full_cse {
-            OptLevel::Cse
-        } else {
-            self.optimize
         }
     }
 }
@@ -198,6 +169,92 @@ pub(crate) struct CompiledProgram {
     pub outputs: std::collections::HashMap<String, NodeId>,
     /// What the optimizer did (level, nodes/filters before and after).
     pub opt: OptStats,
+}
+
+impl CompiledProgram {
+    /// The roots to compute: the program result, or each named output in
+    /// request order. Shadowing rebinds names; the compile step resolved
+    /// the *last* node carrying each name and remapped it through the
+    /// optimizer (merged duplicates point at their shared survivor).
+    pub fn roots(&self, outputs: Option<&[&str]>) -> Result<Vec<NodeId>, EngineError> {
+        let Some(names) = outputs else {
+            return Ok(vec![self.spec.result]);
+        };
+        names
+            .iter()
+            .map(|&name| {
+                self.outputs
+                    .get(name)
+                    .copied()
+                    .ok_or_else(|| EngineError::NoSuchOutput {
+                        name: name.to_string(),
+                    })
+            })
+            .collect()
+    }
+}
+
+/// What to execute: the one argument every entry point reduces to.
+pub(crate) struct Request<'a> {
+    /// The network to run, exactly as given (already optimized).
+    pub spec: &'a NetworkSpec,
+    /// The nodes whose fields are returned, in order.
+    pub roots: &'a [NodeId],
+    /// The host's input fields.
+    pub fields: &'a FieldSet,
+    /// What the caller asked for, before any fallback.
+    pub kind: Kind,
+}
+
+/// How the caller asked for a request to run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind {
+    /// One of the paper's single-pass strategies.
+    Strategy(Strategy),
+    /// Streamed fusion under an explicit device budget.
+    Streamed {
+        /// Peak-device-memory bound for slab sizing.
+        budget: u64,
+    },
+}
+
+impl Kind {
+    /// The first rung of the recovery ladder; its name is the `strategy`
+    /// recorded on root spans.
+    pub fn level(&self) -> ExecLevel {
+        match self {
+            Kind::Strategy(Strategy::Fusion) => ExecLevel::Fusion,
+            Kind::Strategy(Strategy::Staged) => ExecLevel::Staged,
+            Kind::Strategy(Strategy::Roundtrip) => ExecLevel::Roundtrip,
+            Kind::Streamed { .. } => ExecLevel::Streamed,
+        }
+    }
+}
+
+impl<'a> Request<'a> {
+    /// Whether the request asks for the network's natural result alone
+    /// (the only shape the streamed executor computes).
+    pub fn is_single(&self) -> bool {
+        self.roots == [self.spec.result]
+    }
+
+    /// Generated-kernel label: the single root's binding name (`expr` when
+    /// unnamed), or `multi` for several roots.
+    pub fn label(&self) -> &'a str {
+        match self.roots {
+            [root] => self.spec.node(*root).name.as_deref().unwrap_or("expr"),
+            _ => "multi",
+        }
+    }
+
+    /// Device budget a streamed attempt slabs against: the requested one,
+    /// or the whole device when streaming is a fallback rung.
+    pub fn stream_budget(&self, device: &DeviceProfile) -> u64 {
+        match self.kind {
+            Kind::Streamed { budget } => budget,
+            Kind::Strategy(_) => device.global_mem_bytes,
+        }
+    }
 }
 
 /// The derived-field generation engine a host application embeds.
@@ -343,7 +400,7 @@ impl Engine {
     /// engine's effective level, pinning the program result *and* every
     /// named binding as roots so multi-output requests stay servable.
     fn optimize_program(&self, raw: &NetworkSpec) -> Result<CompiledProgram, EngineError> {
-        let level = self.options.effective_opt_level();
+        let level = self.options.optimize;
         // Last binding per name, in first-appearance order (shadowing
         // rebinds: the last node carrying a name is the live binding).
         let mut names: Vec<(String, NodeId)> = Vec::new();
@@ -394,14 +451,7 @@ impl Engine {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<ExecReport, EngineError> {
-        let mark = self.trace_mark();
-        let root = span!(self.tracer, "derive", strategy = strategy.name());
-        let prog = self.compile_cached(source)?;
-        let mut report = self.derive_spec(&prog.spec, fields, strategy)?;
-        // Close the root span so the snapshot carries its full duration.
-        drop(root);
-        report.trace = self.snapshot_since(mark);
-        Ok(report)
+        self.derive_one(source, fields, Kind::Strategy(strategy))
     }
 
     /// Execute an already-lowered network specification.
@@ -416,102 +466,16 @@ impl Engine {
         strategy: Strategy,
     ) -> Result<ExecReport, EngineError> {
         let mark = self.trace_mark();
-        let sched = {
-            let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
-            Schedule::new(spec)?
+        let req = Request {
+            spec,
+            roots: &[spec.result],
+            fields,
+            kind: Kind::Strategy(strategy),
         };
-        let mut ctx = self.traced_context();
-        if self.options.recovery.enabled() {
-            let t0 = Instant::now();
-            let roots = [spec.result];
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: &self.options,
-                    tracer: self.tracer.clone(),
-                    device: &self.profile,
-                },
-                spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Strategy(strategy),
-                &mut ctx,
-                None,
-            )?;
-            let wall = t0.elapsed();
-            debug_assert_eq!(ctx.in_use_bytes(), 0, "recovered executor leaked buffers");
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => ctx.report(),
-            };
-            return Ok(ExecReport {
-                field: outcome
-                    .fields_out
-                    .map(|mut v| v.pop().expect("one root, one field")),
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: self.snapshot_since(mark),
-                recovery: outcome.recovery,
-                integrity: ctx.integrity_stats(),
-            });
-        }
-        let t0 = Instant::now();
-        let exec_span = span!(
-            self.tracer,
-            &format!("execute.{}", strategy.name()),
-            ncells = fields.ncells(),
-        );
-        exec_span.virt_start(ctx.clock_seconds());
-        let (field, generated_source) = match strategy {
-            Strategy::Roundtrip => (
-                run_roundtrip(
-                    spec,
-                    &sched,
-                    fields,
-                    &mut ctx,
-                    self.options.roundtrip_dedup_uploads,
-                )?,
-                None,
-            ),
-            Strategy::Staged => {
-                let field = if self.options.branch_parallel {
-                    crate::strategies::run_staged_levels_multi(
-                        spec,
-                        &sched,
-                        fields,
-                        &mut ctx,
-                        &[spec.result],
-                    )?
-                    .map(|mut v| v.pop().expect("one root, one field"))
-                } else {
-                    run_staged(spec, &sched, fields, &mut ctx)?
-                };
-                (field, None)
-            }
-            Strategy::Fusion => {
-                let label = spec
-                    .node(spec.result)
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| "expr".to_string());
-                let (field, src) = run_fusion(spec, fields, &mut ctx, &label)?;
-                (field, Some(src))
-            }
-        };
-        exec_span.virt_end(ctx.clock_seconds());
-        drop(exec_span);
-        let wall = t0.elapsed();
-        debug_assert_eq!(ctx.in_use_bytes(), 0, "executor leaked device buffers");
-        Ok(ExecReport {
-            field,
-            profile: ctx.report(),
-            wall,
-            generated_source,
-            trace: self.snapshot_since(mark),
-            recovery: None,
-            integrity: ctx.integrity_stats(),
-        })
+        let (mut out, mut report) = self.execute(req, &mut self.traced_context(), None)?;
+        report.field = out.pop();
+        report.trace = self.snapshot_since(mark);
+        Ok(report)
     }
 
     /// Derive several named fields in one execution.
@@ -528,131 +492,8 @@ impl Engine {
         fields: &FieldSet,
         strategy: Strategy,
     ) -> Result<(Vec<(String, Field)>, ExecReport), EngineError> {
-        let mark = self.trace_mark();
-        let root = span!(
-            self.tracer,
-            "derive_many",
-            strategy = strategy.name(),
-            outputs = outputs.len(),
-        );
-        let prog = self.compile_cached(source)?;
-        let spec = prog.spec;
-        let mut roots = Vec::with_capacity(outputs.len());
-        for &name in outputs {
-            // Shadowing rebinds names; the compile step resolved the *last*
-            // node carrying each name and remapped it through the optimizer
-            // (merged duplicates point at their shared survivor).
-            let root =
-                prog.outputs
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| EngineError::NoSuchOutput {
-                        name: name.to_string(),
-                    })?;
-            roots.push(root);
-        }
-        let sched = {
-            let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
-            Schedule::for_roots(&spec, &roots)?
-        };
-        let mut ctx = self.traced_context();
-        if self.options.recovery.enabled() {
-            let t0 = Instant::now();
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: &self.options,
-                    tracer: self.tracer.clone(),
-                    device: &self.profile,
-                },
-                &spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Strategy(strategy),
-                &mut ctx,
-                None,
-            )?;
-            let wall = t0.elapsed();
-            debug_assert_eq!(
-                ctx.in_use_bytes(),
-                0,
-                "recovered multi executor leaked buffers"
-            );
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => ctx.report(),
-            };
-            let named = match outcome.fields_out {
-                Some(v) => outputs.iter().map(|n| n.to_string()).zip(v).collect(),
-                None => Vec::new(),
-            };
-            let mut report = ExecReport {
-                field: None,
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: None,
-                recovery: outcome.recovery,
-                integrity: ctx.integrity_stats(),
-            };
-            drop(root);
-            report.trace = self.snapshot_since(mark);
-            return Ok((named, report));
-        }
-        let t0 = Instant::now();
-        let exec_span = span!(
-            self.tracer,
-            &format!("execute.{}", strategy.name()),
-            ncells = fields.ncells(),
-        );
-        exec_span.virt_start(ctx.clock_seconds());
-        let (fields_out, generated_source) = match strategy {
-            Strategy::Roundtrip => (
-                crate::strategies::run_roundtrip_multi(
-                    &spec,
-                    &sched,
-                    fields,
-                    &mut ctx,
-                    self.options.roundtrip_dedup_uploads,
-                    &roots,
-                )?,
-                None,
-            ),
-            Strategy::Staged => {
-                let out = if self.options.branch_parallel {
-                    crate::strategies::run_staged_levels_multi(
-                        &spec, &sched, fields, &mut ctx, &roots,
-                    )?
-                } else {
-                    crate::strategies::run_staged_multi(&spec, &sched, fields, &mut ctx, &roots)?
-                };
-                (out, None)
-            }
-            Strategy::Fusion => {
-                let (f, src) =
-                    crate::strategies::run_fusion_multi(&spec, &roots, fields, &mut ctx, "multi")?;
-                (f, Some(src))
-            }
-        };
-        exec_span.virt_end(ctx.clock_seconds());
-        drop(exec_span);
-        let wall = t0.elapsed();
-        debug_assert_eq!(ctx.in_use_bytes(), 0, "multi executor leaked buffers");
-        let named = match fields_out {
-            Some(v) => outputs.iter().map(|n| n.to_string()).zip(v).collect(),
-            None => Vec::new(),
-        };
-        let mut report = ExecReport {
-            field: None,
-            profile: ctx.report(),
-            wall,
-            generated_source,
-            trace: None,
-            recovery: None,
-            integrity: ctx.integrity_stats(),
-        };
-        drop(root);
-        report.trace = self.snapshot_since(mark);
+        let (out, report) = self.run(source, Some(outputs), fields, Kind::Strategy(strategy))?;
+        let named = outputs.iter().map(|n| n.to_string()).zip(out).collect();
         Ok((named, report))
     }
 
@@ -668,98 +509,93 @@ impl Engine {
         fields: &FieldSet,
         device_budget_bytes: Option<u64>,
     ) -> Result<ExecReport, EngineError> {
-        let mark = self.trace_mark();
-        let root = span!(self.tracer, "derive", strategy = "streamed");
-        let spec = self.compile_cached(source)?.spec;
         let budget = device_budget_bytes.unwrap_or(self.profile.global_mem_bytes);
-        let mut ctx = self.traced_context();
-        if self.options.recovery.enabled() {
-            let sched = {
-                let _plan = span!(self.tracer, "plan", nodes = spec.iter().count());
-                Schedule::new(&spec)?
-            };
-            let t0 = Instant::now();
-            let roots = [spec.result];
-            let outcome = run_with_recovery(
-                RecoveryCtx {
-                    options: &self.options,
-                    tracer: self.tracer.clone(),
-                    device: &self.profile,
-                },
-                &spec,
-                &sched,
-                fields,
-                &roots,
-                Request::Streamed { budget },
-                &mut ctx,
-                None,
-            )?;
-            let wall = t0.elapsed();
-            debug_assert_eq!(
-                ctx.in_use_bytes(),
-                0,
-                "recovered streamed executor leaked buffers"
-            );
-            let profile = match &outcome.alt_profile {
-                Some((report, _)) => report.clone(),
-                None => ctx.report(),
-            };
-            let mut report = ExecReport {
-                field: outcome
-                    .fields_out
-                    .map(|mut v| v.pop().expect("one root, one field")),
-                profile,
-                wall,
-                generated_source: outcome.generated_source,
-                trace: None,
-                recovery: outcome.recovery,
-                integrity: ctx.integrity_stats(),
-            };
-            drop(root);
-            report.trace = self.snapshot_since(mark);
-            return Ok(report);
-        }
-        let t0 = Instant::now();
-        let label = spec
-            .node(spec.result)
-            .name
-            .clone()
-            .unwrap_or_else(|| "expr".to_string());
-        let exec_span = span!(
-            self.tracer,
-            "execute.streamed",
-            ncells = fields.ncells(),
-            budget_bytes = budget,
-        );
-        exec_span.virt_start(ctx.clock_seconds());
-        let (field, src, stream) = crate::strategies::run_streamed_fusion(
-            &spec,
-            fields,
-            &mut ctx,
-            &label,
-            budget,
-            self.options.stream,
-        )?;
-        exec_span.virt_end(ctx.clock_seconds());
-        drop(
-            exec_span
-                .meta("slabs", stream.slabs)
-                .meta("depth", stream.depth),
-        );
-        let wall = t0.elapsed();
-        debug_assert_eq!(ctx.in_use_bytes(), 0, "streamed executor leaked buffers");
-        let mut report = ExecReport {
-            field,
-            profile: ctx.report(),
-            wall,
-            generated_source: Some(src),
-            trace: None,
-            recovery: None,
-            integrity: ctx.integrity_stats(),
+        self.derive_one(source, fields, Kind::Streamed { budget })
+    }
+
+    /// A single-result one-shot run: the field travels in the report.
+    fn derive_one(
+        &mut self,
+        source: &str,
+        fields: &FieldSet,
+        kind: Kind,
+    ) -> Result<ExecReport, EngineError> {
+        let (mut out, mut report) = self.run(source, None, fields, kind)?;
+        report.field = out.pop();
+        Ok(report)
+    }
+
+    /// Compile `source` (cached) and execute it on a fresh context under a
+    /// `derive` (or `derive_many`) root span.
+    fn run(
+        &mut self,
+        source: &str,
+        outputs: Option<&[&str]>,
+        fields: &FieldSet,
+        kind: Kind,
+    ) -> Result<(Vec<Field>, ExecReport), EngineError> {
+        let mark = self.trace_mark();
+        let root = match outputs {
+            None => span!(self.tracer, "derive", strategy = kind.level().name()),
+            Some(names) => span!(
+                self.tracer,
+                "derive_many",
+                strategy = kind.level().name(),
+                outputs = names.len(),
+            ),
         };
+        let prog = self.compile_cached(source)?;
+        let roots = prog.roots(outputs)?;
+        let req = Request {
+            spec: &prog.spec,
+            roots: &roots,
+            fields,
+            kind,
+        };
+        let (out, mut report) = self.execute(req, &mut self.traced_context(), None)?;
+        // Close the root span so the snapshot carries its full duration.
         drop(root);
         report.trace = self.snapshot_since(mark);
-        Ok(report)
+        Ok((out, report))
+    }
+
+    /// The one execution path under every entry point: plan the request,
+    /// run it through the recovery ladder (one rung, zero retries when
+    /// recovery is disabled), check for leaks, and build the report. With
+    /// session state the cycle is counted and residents stay allocated;
+    /// the returned fields are one per root (empty in model mode), and the
+    /// caller fills in `report.field` / `report.trace`.
+    pub(crate) fn execute(
+        &self,
+        req: Request<'_>,
+        ctx: &mut Context,
+        mut state: Option<&mut SessionState>,
+    ) -> Result<(Vec<Field>, ExecReport), EngineError> {
+        let sched = {
+            let _plan = span!(self.tracer, "plan", nodes = req.spec.iter().count());
+            Schedule::for_roots(req.spec, req.roots)?
+        };
+        let t0 = Instant::now();
+        let outcome = run_with_recovery(self, &req, &sched, ctx, state.as_deref_mut())?;
+        let wall = t0.elapsed();
+        debug_assert_eq!(
+            ctx.in_use_bytes(),
+            state.as_deref().map_or(0, SessionState::resident_bytes),
+            "executor leaked device buffers"
+        );
+        if let Some(state) = state {
+            state.stats.cycles += 1;
+        }
+        let report = ExecReport {
+            field: None,
+            profile: outcome.alt_profile.unwrap_or_else(|| ctx.report()),
+            wall,
+            generated_source: outcome.generated_source,
+            trace: None,
+            recovery: outcome.recovery,
+            integrity: ctx.integrity_stats(),
+        };
+        Ok((outcome.fields_out.unwrap_or_default(), report))
     }
 
     /// Execute a hand-written reference kernel for one of the paper's

@@ -26,18 +26,15 @@
 //! at. Each retry emits a `recover.retry` span and each level switch a
 //! `recover.fallback` span, with the triggering fault as metadata.
 
-use dfg_dataflow::{memreq_units, NetworkSpec, NodeId, Schedule, Strategy};
+use dfg_dataflow::{memreq_units, Schedule, Strategy};
 use dfg_ocl::{Context, DeviceKind, DeviceProfile, OclError, ProfileReport};
-use dfg_trace::{span, Tracer};
+use dfg_trace::span;
 
-use crate::engine::EngineOptions;
+use crate::engine::{Engine, Request};
 use crate::error::EngineError;
-use crate::fields::{Field, FieldSet};
+use crate::fields::Field;
 use crate::session::SessionState;
-use crate::strategies::{
-    run_fusion_multi_session, run_roundtrip_multi_session, run_staged_levels_session,
-    run_staged_multi_session, run_streamed_fusion_session, StreamReport, StreamRetry,
-};
+use crate::strategies::{fusion, roundtrip, staged, streamed, StreamReport, StreamRetry};
 
 /// How the engine responds to device failures; part of
 /// [`EngineOptions`](crate::EngineOptions). The default policy is disabled
@@ -220,36 +217,6 @@ impl RecoveryReport {
     }
 }
 
-/// What the caller asked for, before any fallback.
-pub(crate) enum Request {
-    /// One of the paper's single-pass strategies.
-    Strategy(Strategy),
-    /// Streamed fusion under an explicit device budget.
-    Streamed {
-        /// Peak-device-memory bound for slab sizing.
-        budget: u64,
-    },
-}
-
-impl Request {
-    fn level(&self) -> ExecLevel {
-        match self {
-            Request::Strategy(Strategy::Fusion) => ExecLevel::Fusion,
-            Request::Strategy(Strategy::Staged) => ExecLevel::Staged,
-            Request::Strategy(Strategy::Roundtrip) => ExecLevel::Roundtrip,
-            Request::Streamed { .. } => ExecLevel::Streamed,
-        }
-    }
-}
-
-/// Engine state the driver needs, split out so the session (which holds
-/// `&mut Engine`) can call it alongside its own context and state.
-pub(crate) struct RecoveryCtx<'a> {
-    pub options: &'a EngineOptions,
-    pub tracer: Option<Tracer>,
-    pub device: &'a DeviceProfile,
-}
-
 /// The successful result of a recovered (or clean) execution.
 pub(crate) struct LevelOutcome {
     pub fields_out: Option<Vec<Field>>,
@@ -257,9 +224,8 @@ pub(crate) struct LevelOutcome {
     /// Populated iff recovery engaged (at least one retry/fallback/skip).
     pub recovery: Option<RecoveryReport>,
     /// When the run completed on the CPU fallback context, that context's
-    /// profile and final clock (the primary context never executed the
-    /// winning attempt).
-    pub alt_profile: Option<(ProfileReport, f64)>,
+    /// profile (the primary context never executed the winning attempt).
+    pub alt_profile: Option<ProfileReport>,
 }
 
 /// Build the ladder: the requested level first, then (when fallback is on)
@@ -302,65 +268,40 @@ fn ladder(
 /// report (slabs, depth, absorbed in-pipeline retries) for streamed runs.
 type AttemptOutput = (Option<Vec<Field>>, Option<String>, Option<StreamReport>);
 
-/// Execute one level on the given context. Session state flows through for
-/// device levels; the CPU fallback always runs one-shot (its buffers live
-/// on a different context than the session's residents).
-#[allow(clippy::too_many_arguments)]
+/// Execute one level on the given context — the only strategy dispatch.
+/// Session state flows through for device levels; the CPU fallback always
+/// runs one-shot (its buffers live on a different context than the
+/// session's residents).
 fn execute_level(
     level: ExecLevel,
-    rc: &RecoveryCtx<'_>,
-    spec: &NetworkSpec,
+    engine: &Engine,
+    req: &Request<'_>,
     sched: &Schedule,
-    fields: &FieldSet,
-    roots: &[NodeId],
-    label: &str,
-    streamed_budget: u64,
     ctx: &mut Context,
     session: Option<&mut SessionState>,
 ) -> Result<AttemptOutput, EngineError> {
+    let options = engine.options();
     match level {
-        ExecLevel::Roundtrip => run_roundtrip_multi_session(
-            spec,
-            sched,
-            fields,
-            ctx,
-            rc.options.roundtrip_dedup_uploads,
-            roots,
-            session,
-        )
-        .map(|f| (f, None, None)),
-        ExecLevel::Staged => {
-            let out = if rc.options.branch_parallel {
-                run_staged_levels_session(spec, sched, fields, ctx, roots, session)?
-            } else {
-                run_staged_multi_session(spec, sched, fields, ctx, roots, session)?
-            };
-            Ok((out, None, None))
+        ExecLevel::Roundtrip => {
+            roundtrip::run(req, sched, ctx, options.roundtrip_dedup_uploads, session)
+                .map(|f| (f, None, None))
         }
+        ExecLevel::Staged => staged::run(req, sched, ctx, session).map(|f| (f, None, None)),
         ExecLevel::Fusion | ExecLevel::CpuFusion => {
-            run_fusion_multi_session(spec, roots, fields, ctx, label, session)
-                .map(|(f, src)| (f, Some(src), None))
+            fusion::run(req, ctx, session).map(|(f, src)| (f, Some(src), None))
         }
         ExecLevel::Streamed => {
             // The streamed rung inherits the pipeline overlap and absorbs
             // transient faults *inside* the pipeline: the faulted queue
             // backs off and re-issues without draining the other queues.
-            let policy = rc.options.recovery;
+            let policy = options.recovery;
             let retry = (policy.max_retries > 0).then_some(StreamRetry {
                 max_retries: policy.max_retries,
                 backoff_seconds: policy.backoff_us as f64 * 1e-6,
             });
-            run_streamed_fusion_session(
-                spec,
-                fields,
-                ctx,
-                label,
-                streamed_budget,
-                rc.options.stream,
-                retry,
-                session,
-            )
-            .map(|(f, src, report)| (f.map(|x| vec![x]), Some(src), Some(report)))
+            let budget = req.stream_budget(engine.device());
+            streamed::run(req, ctx, budget, options.stream, retry, session)
+                .map(|(f, src, report)| (f.map(|x| vec![x]), Some(src), Some(report)))
         }
     }
 }
@@ -407,33 +348,23 @@ fn restore(
 /// with virtual-clock backoff and walking the fallback ladder on
 /// persistent ones. Non-environmental errors (missing fields, schedule
 /// bugs) on the requested level propagate untouched.
-#[allow(clippy::too_many_arguments)]
+///
+/// With recovery disabled the ladder is one rung with zero retries: the
+/// attempt still rolls back on failure (so a session stays leak-free), and
+/// its error surfaces raw.
 pub(crate) fn run_with_recovery(
-    rc: RecoveryCtx<'_>,
-    spec: &NetworkSpec,
+    engine: &Engine,
+    req: &Request<'_>,
     sched: &Schedule,
-    fields: &FieldSet,
-    roots: &[NodeId],
-    requested: Request,
     ctx: &mut Context,
     mut session: Option<&mut SessionState>,
 ) -> Result<LevelOutcome, EngineError> {
-    let policy = rc.options.recovery;
-    let multi = !(roots.len() == 1 && roots[0] == spec.result);
-    let levels = ladder(requested.level(), &policy, multi, rc.device);
-    let streamed_budget = match requested {
-        Request::Streamed { budget } => budget,
-        _ => rc.device.global_mem_bytes,
-    };
-    let label = if roots.len() == 1 {
-        spec.node(roots[0])
-            .name
-            .clone()
-            .unwrap_or_else(|| "expr".to_string())
-    } else {
-        "multi".to_string()
-    };
-    let ncells = fields.ncells() as u64;
+    let policy = engine.options().recovery;
+    let device = engine.device();
+    let tracer = engine.tracer();
+    let levels = ladder(req.kind.level(), &policy, !req.is_single(), device);
+    let ncells = req.fields.ncells() as u64;
+    let budget = req.stream_budget(device);
     let cpu_profile = DeviceProfile::intel_x5660();
 
     let mut report = RecoveryReport::default();
@@ -445,13 +376,13 @@ pub(crate) fn run_with_recovery(
         let capacity = if level == ExecLevel::CpuFusion {
             cpu_profile.global_mem_bytes
         } else {
-            rc.device.global_mem_bytes
+            device.global_mem_bytes
         };
         if !is_requested {
             // Re-plan before attempting: skip candidates the exact memory
             // model already rules out.
             if let Some(strategy) = level.planned_strategy() {
-                let required = memreq_units(spec, strategy)?.bytes(ncells);
+                let required = memreq_units(req.spec, strategy)?.bytes(ncells);
                 if required > capacity {
                     report.attempts.push(AttemptRecord {
                         level,
@@ -466,7 +397,7 @@ pub(crate) fn run_with_recovery(
             }
             report.fallbacks += 1;
             drop(
-                span!(rc.tracer, "recover.fallback", to = level.name())
+                span!(tracer, "recover.fallback", to = level.name())
                     .meta("from", levels[li - 1].name())
                     .meta(
                         "error",
@@ -480,7 +411,7 @@ pub(crate) fn run_with_recovery(
         let exec_ctx: &mut Context = if level == ExecLevel::CpuFusion {
             cpu_ctx.get_or_insert_with(|| {
                 let mut c = Context::new(cpu_profile.clone(), ctx.mode());
-                if let Some(t) = &rc.tracer {
+                if let Some(t) = tracer {
                     c.set_tracer(t.clone());
                 }
                 if let Some(plan) = ctx.fault_plan() {
@@ -507,28 +438,21 @@ pub(crate) fn run_with_recovery(
                 resident_snapshot(&session)
             };
             let exec_span = span!(
-                rc.tracer,
+                tracer,
                 &format!("execute.{}", level.name()),
-                ncells = fields.ncells(),
+                ncells = req.fields.ncells(),
             );
+            let exec_span = match level {
+                ExecLevel::Streamed => exec_span.meta("budget_bytes", budget),
+                _ => exec_span,
+            };
             exec_span.virt_start(exec_ctx.clock_seconds());
             let attempt_session = if level == ExecLevel::CpuFusion {
                 None
             } else {
                 session.as_deref_mut()
             };
-            let result = execute_level(
-                level,
-                &rc,
-                spec,
-                sched,
-                fields,
-                roots,
-                &label,
-                streamed_budget,
-                exec_ctx,
-                attempt_session,
-            );
+            let result = execute_level(level, engine, req, sched, exec_ctx, attempt_session);
             exec_span.virt_end(exec_ctx.clock_seconds());
             match result {
                 Ok((fields_out, generated_source, stream)) => {
@@ -562,10 +486,8 @@ pub(crate) fn run_with_recovery(
                         outcome: AttemptOutcome::Succeeded,
                         error: None,
                     });
-                    let alt_profile = (level == ExecLevel::CpuFusion).then(|| {
-                        let c = cpu_ctx.as_ref().expect("cpu level ran on cpu_ctx");
-                        (c.report(), c.clock_seconds())
-                    });
+                    let alt_profile = (level == ExecLevel::CpuFusion)
+                        .then(|| cpu_ctx.as_ref().expect("cpu level ran on cpu_ctx").report());
                     let recovery = report.engaged().then_some(report);
                     return Ok(LevelOutcome {
                         fields_out,
@@ -601,7 +523,7 @@ pub(crate) fn run_with_recovery(
                                     let _ = exec_ctx.release(r.buf);
                                     report.integrity_healed += 1;
                                     drop(span!(
-                                        rc.tracer,
+                                        tracer,
                                         "recover.integrity",
                                         field = name,
                                         kind = kind.name(),
@@ -626,7 +548,7 @@ pub(crate) fn run_with_recovery(
                         // Backoff on the virtual clock: deterministic, and
                         // identical in model and real modes.
                         let retry_span = span!(
-                            rc.tracer,
+                            tracer,
                             "recover.retry",
                             level = level.name(),
                             remaining = retries_left,
@@ -666,7 +588,7 @@ pub(crate) fn run_with_recovery(
                         outcome: AttemptOutcome::Exhausted,
                         error: Some(e.to_string()),
                     });
-                    return Err(if report.engaged() {
+                    return Err(if policy.enabled() && report.engaged() {
                         EngineError::Exhausted {
                             recovery: Box::new(report),
                             last: Box::new(e),

@@ -5,56 +5,31 @@
 //! single kernel launch computes the derived field with intermediates in
 //! registers, and one download returns the result.
 
-use dfg_dataflow::{NetworkSpec, NodeId, Width};
+use dfg_dataflow::Width;
 use dfg_kernels::{fuse_roots, FusedKernel};
 use dfg_ocl::{Context, ExecMode};
 
+use crate::engine::Request;
 use crate::error::EngineError;
-use crate::fields::{Field, FieldSet};
+use crate::fields::Field;
 use crate::session::{program_key, CachedProgram, SessionState};
 use crate::strategies::{check_field, lanes_for};
 
-/// Execute `spec` with the fusion strategy. Returns the derived field in
-/// real mode, `None` in model mode, plus the generated kernel source.
-pub fn run_fusion(
-    spec: &NetworkSpec,
-    fields: &FieldSet,
+/// Execute the request with the fusion strategy: one generated kernel
+/// computes every root, writing an interleaved output buffer that is
+/// de-interleaved host-side after the single download. Returns one field
+/// per root in real mode (`None` in model mode) plus the generated source.
+///
+/// With session state, codegen is served from the session's kernel cache,
+/// input uploads go through its generation-checked resident buffers (which
+/// are *not* released here), and only transients are drained.
+pub(crate) fn run(
+    req: &Request<'_>,
     ctx: &mut Context,
-    label: &str,
-) -> Result<(Option<Field>, String), EngineError> {
-    let (fields_out, source) = run_fusion_multi(spec, &[spec.result], fields, ctx, label)?;
-    Ok((
-        fields_out.map(|mut v| v.pop().expect("one root, one field")),
-        source,
-    ))
-}
-
-/// Multi-output fusion: one generated kernel computes every root, writing
-/// an interleaved output buffer that is de-interleaved host-side after the
-/// single download.
-pub fn run_fusion_multi(
-    spec: &NetworkSpec,
-    roots: &[NodeId],
-    fields: &FieldSet,
-    ctx: &mut Context,
-    label: &str,
-) -> Result<(Option<Vec<Field>>, String), EngineError> {
-    run_fusion_multi_session(spec, roots, fields, ctx, label, None)
-}
-
-/// [`run_fusion_multi`] with optional session state: codegen is served
-/// from the session's kernel cache, input uploads go through its
-/// generation-checked resident buffers (which are *not* released here),
-/// and only session-owned transients are drained. With `session == None`
-/// the behavior is byte-identical to the one-shot path.
-pub(crate) fn run_fusion_multi_session(
-    spec: &NetworkSpec,
-    roots: &[NodeId],
-    fields: &FieldSet,
-    ctx: &mut Context,
-    label: &str,
     mut session: Option<&mut SessionState>,
 ) -> Result<(Option<Vec<Field>>, String), EngineError> {
+    let (spec, roots, fields) = (req.spec, req.roots, req.fields);
+    let label = req.label();
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();

@@ -12,21 +12,17 @@
 //! The executors' buffer allocation orders intentionally mirror
 //! `dfg_dataflow::memreq`'s analytical simulation so that measured
 //! high-water marks and predicted requirements agree exactly.
+//!
+//! Each module exposes one `pub(crate) fn run(..)` taking the engine's
+//! `Request`; `recovery::execute_level` is the only caller.
 
-mod fusion;
-mod roundtrip;
-mod staged;
-mod streamed;
+pub(crate) mod fusion;
+pub(crate) mod roundtrip;
+pub(crate) mod staged;
+pub(crate) mod streamed;
 
-pub use fusion::{run_fusion, run_fusion_multi};
-pub use roundtrip::{run_roundtrip, run_roundtrip_multi};
-pub use staged::{run_staged, run_staged_levels_multi, run_staged_multi};
-pub use streamed::{run_streamed_fusion, StreamReport};
-
-pub(crate) use fusion::run_fusion_multi_session;
-pub(crate) use roundtrip::run_roundtrip_multi_session;
-pub(crate) use staged::{run_staged_levels_session, run_staged_multi_session};
-pub(crate) use streamed::{run_streamed_fusion_session, StreamRetry};
+pub use streamed::StreamReport;
+pub(crate) use streamed::StreamRetry;
 
 use dfg_dataflow::Width;
 use dfg_ocl::ExecMode;

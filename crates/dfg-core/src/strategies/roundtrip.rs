@@ -14,8 +14,9 @@ use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, Width};
 use dfg_kernels::Primitive;
 use dfg_ocl::{Context, DeviceKernel, ExecMode};
 
+use crate::engine::Request;
 use crate::error::EngineError;
-use crate::fields::{Field, FieldSet};
+use crate::fields::Field;
 use crate::session::SessionState;
 use crate::strategies::{check_field, lanes_for};
 
@@ -39,51 +40,26 @@ impl HostVal<'_> {
     }
 }
 
-/// Execute `spec` with the roundtrip strategy. Returns the derived field in
-/// real mode, `None` in model mode.
+/// Execute the request with the roundtrip strategy. Returns one field per
+/// root in real mode (the schedule pins `roots` live), `None` in model
+/// mode.
 ///
 /// `dedup_uploads` enables the D1 ablation: upload each distinct kernel
 /// input once rather than once per port (the paper transfers per port).
-pub fn run_roundtrip(
-    spec: &NetworkSpec,
+///
+/// Under a session, ports fed by source `Input` nodes use the session's
+/// generation-checked resident buffers instead of the paper's
+/// upload-per-port protocol (the whole point of a persistent session is to
+/// not re-transfer unchanged inputs); intermediates, constants, and
+/// decompose results still roundtrip through the host.
+pub(crate) fn run(
+    req: &Request<'_>,
     sched: &Schedule,
-    fields: &FieldSet,
     ctx: &mut Context,
     dedup_uploads: bool,
-) -> Result<Option<Field>, EngineError> {
-    let out = run_roundtrip_multi(spec, sched, fields, ctx, dedup_uploads, &[spec.result])?;
-    Ok(out.map(|mut v| v.pop().expect("one root, one field")))
-}
-
-/// Multi-output roundtrip: same protocol, several result fields extracted
-/// from the host-value map (the schedule must pin `roots` live).
-pub fn run_roundtrip_multi(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    dedup_uploads: bool,
-    roots: &[dfg_dataflow::NodeId],
-) -> Result<Option<Vec<Field>>, EngineError> {
-    run_roundtrip_multi_session(spec, sched, fields, ctx, dedup_uploads, roots, None)
-}
-
-/// [`run_roundtrip_multi`] with optional session state. Under a session,
-/// ports fed by source `Input` nodes use the session's generation-checked
-/// resident buffers instead of the paper's upload-per-port protocol (the
-/// whole point of a persistent session is to not re-transfer unchanged
-/// inputs); intermediates, constants, and decompose results still roundtrip
-/// through the host. With `session == None` the behavior is byte-identical
-/// to the one-shot path.
-pub(crate) fn run_roundtrip_multi_session(
-    spec: &NetworkSpec,
-    sched: &Schedule,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    dedup_uploads: bool,
-    roots: &[dfg_dataflow::NodeId],
     mut session: Option<&mut SessionState>,
 ) -> Result<Option<Vec<Field>>, EngineError> {
+    let (spec, roots, fields) = (req.spec, req.roots, req.fields);
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();

@@ -37,13 +37,13 @@
 //! and downloads land directly in the final output allocation via ranged
 //! reads — the steady-state loop performs no per-slab heap allocation.
 
-use dfg_dataflow::{NetworkSpec, Width};
+use dfg_dataflow::Width;
 use dfg_kernels::{fuse, Dims3, FusedKernel};
 use dfg_ocl::{Context, EventToken, ExecMode, StagingRing};
 
-use crate::engine::{SlabPolicy, StreamOptions};
+use crate::engine::{Request, SlabPolicy, StreamOptions};
 use crate::error::EngineError;
-use crate::fields::{Field, FieldSet};
+use crate::fields::Field;
 use crate::session::{program_key, CachedProgram, SessionState};
 use crate::strategies::check_field;
 
@@ -75,49 +75,29 @@ pub(crate) struct StreamRetry {
     pub backoff_seconds: f64,
 }
 
-/// Execute `spec` by streaming z-slabs through the fused kernel, keeping
-/// peak device memory at or below `device_budget_bytes`.
+/// Execute the request by streaming z-slabs through the fused kernel,
+/// keeping peak device memory at or below `device_budget_bytes`. Streaming
+/// computes the network's result only (`req.roots` is ignored).
 ///
 /// The grid shape comes from the program's `dims` input when a gradient is
 /// present; purely elementwise programs are streamed as flat chunks.
 /// Returns the derived field (real mode), the generated kernel source, and
 /// a [`StreamReport`] with the slab count and pipeline depth.
-pub fn run_streamed_fusion(
-    spec: &NetworkSpec,
-    fields: &FieldSet,
+///
+/// `retry` is the in-pipeline transient-retry budget. With session state,
+/// codegen/compile is served from the session's kernel cache, and the
+/// ring's device buffers come from (and return to) the context's pool, so
+/// successive session cycles reuse the same slab storage.
+pub(crate) fn run(
+    req: &Request<'_>,
     ctx: &mut Context,
-    label: &str,
-    device_budget_bytes: u64,
-    stream: StreamOptions,
-) -> Result<(Option<Field>, String, StreamReport), EngineError> {
-    run_streamed_fusion_session(
-        spec,
-        fields,
-        ctx,
-        label,
-        device_budget_bytes,
-        stream,
-        None,
-        None,
-    )
-}
-
-/// [`run_streamed_fusion`] with optional session state and an in-pipeline
-/// retry budget: codegen/compile is served from the session's kernel cache,
-/// and the ring's device buffers come from (and return to) the context's
-/// pool, so successive session cycles reuse the same slab storage. With
-/// `session == None` the behavior is byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_streamed_fusion_session(
-    spec: &NetworkSpec,
-    fields: &FieldSet,
-    ctx: &mut Context,
-    label: &str,
     device_budget_bytes: u64,
     stream: StreamOptions,
     retry: Option<StreamRetry>,
     mut session: Option<&mut SessionState>,
 ) -> Result<(Option<Field>, String, StreamReport), EngineError> {
+    let (spec, fields) = (req.spec, req.fields);
+    let label = req.label();
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();

@@ -2,7 +2,7 @@
 //! equivalence, and agreement between measured memory high-water marks and
 //! the analytical model.
 
-use dfg_dataflow::{memreq_units, Strategy};
+use dfg_dataflow::{memreq_units, OptLevel, Strategy};
 use dfg_expr::compile;
 use dfg_mesh::{RectilinearMesh, RtWorkload};
 use dfg_ocl::{DeviceProfile, ExecMode};
@@ -735,35 +735,26 @@ fn executors_surface_injected_device_failures_cleanly() {
     let sched = Schedule::new(&spec).unwrap();
     for strategy in Strategy::ALL {
         // Count allocations in a clean run first.
-        let mut probe = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
-        match strategy {
+        let req = crate::engine::Request {
+            spec: &spec,
+            roots: &[spec.result],
+            fields: &fields,
+            kind: crate::engine::Kind::Strategy(strategy),
+        };
+        let run = |ctx: &mut Context| match strategy {
             Strategy::Roundtrip => {
-                crate::strategies::run_roundtrip(&spec, &sched, &fields, &mut probe, false)
-                    .unwrap();
+                crate::strategies::roundtrip::run(&req, &sched, ctx, false, None).map(|_| ())
             }
-            Strategy::Staged => {
-                crate::strategies::run_staged(&spec, &sched, &fields, &mut probe).unwrap();
-            }
-            Strategy::Fusion => {
-                crate::strategies::run_fusion(&spec, &fields, &mut probe, "t").unwrap();
-            }
-        }
+            Strategy::Staged => crate::strategies::staged::run(&req, &sched, ctx, None).map(|_| ()),
+            Strategy::Fusion => crate::strategies::fusion::run(&req, ctx, None).map(|_| ()),
+        };
+        let mut probe = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
+        run(&mut probe).unwrap();
         // Inject failures at a spread of allocation indices.
         for k in [1usize, 2, 5, 8] {
             let mut ctx = Context::new(DeviceProfile::intel_x5660(), ExecMode::Real);
             ctx.fail_alloc_in(k);
-            let result = match strategy {
-                Strategy::Roundtrip => {
-                    crate::strategies::run_roundtrip(&spec, &sched, &fields, &mut ctx, false)
-                        .map(|_| ())
-                }
-                Strategy::Staged => {
-                    crate::strategies::run_staged(&spec, &sched, &fields, &mut ctx).map(|_| ())
-                }
-                Strategy::Fusion => {
-                    crate::strategies::run_fusion(&spec, &fields, &mut ctx, "t").map(|_| ())
-                }
-            };
+            let result = run(&mut ctx);
             let err = result.expect_err("injected failure must surface");
             assert!(
                 matches!(err, crate::EngineError::Ocl(_)),
@@ -833,13 +824,13 @@ fn engine_caches_compiled_programs() {
 fn full_cse_ablation_reduces_qcrit_kernels_without_changing_results() {
     // DESIGN.md D2 ablation: the paper's limited CSE keeps commutative
     // duplicates like s_3 = 0.5*(dv[0] + du[1]) (= s_1). Full value
-    // numbering merges them.
+    // numbering (`OptLevel::Cse`) merges them.
     let fields = small_rt_fields([6, 5, 4]);
     let mut limited = cpu_engine();
     let mut full = Engine::with_options(
         DeviceProfile::intel_x5660(),
         EngineOptions {
-            full_cse: true,
+            optimize: OptLevel::Cse,
             ..Default::default()
         },
     );
@@ -849,10 +840,7 @@ fn full_cse_ablation_reduces_qcrit_kernels_without_changing_results() {
     let (_, _, k_limited) = a.table2_row();
     let (_, _, k_full) = b.table2_row();
     assert_eq!(k_limited, 67, "paper count");
-    assert!(
-        k_full < k_limited,
-        "full CSE must launch fewer kernels: {k_full} vs {k_limited}"
-    );
+    assert_eq!(k_full, 58, "full CSE launches fewer kernels");
     // Bit-identical derived field (f32 +/* are commutative).
     assert_eq!(
         a.field
@@ -1129,247 +1117,26 @@ mod session {
     }
 }
 
-mod branch_parallel {
-    use super::*;
-    use dfg_trace::Tracer;
-
-    fn bp_engine() -> Engine {
-        Engine::with_options(
-            DeviceProfile::intel_x5660(),
-            EngineOptions {
-                branch_parallel: true,
-                ..Default::default()
-            },
-        )
-    }
-
-    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
-        assert_eq!(a.len(), b.len(), "{what}: length");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: lane {i} ({x} vs {y})");
-        }
-    }
-
-    /// Branch-parallel staged execution produces bit-identical fields,
-    /// identical Table II counts, and identical total device seconds to
-    /// the serial walk (the event *order* may differ; the set may not).
-    #[test]
-    fn outputs_bit_identical_to_serial_staged() {
-        let fields = small_rt_fields([8, 7, 6]);
-        for workload in Workload::ALL {
-            let serial = cpu_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
+/// Every strategy is bit-stable under the serial override: parallel
+/// chunked kernels use globally-indexed chunks, so the thread count never
+/// leaks into results.
+#[test]
+fn all_strategies_bit_identical_under_serial_override() {
+    let fields = small_rt_fields([8, 7, 6]);
+    let bits = |r: crate::ExecReport| -> Vec<u32> {
+        r.field.unwrap().data.iter().map(|v| v.to_bits()).collect()
+    };
+    for workload in Workload::ALL {
+        for strategy in Strategy::ALL {
+            let par = cpu_engine()
+                .derive(workload.source(), &fields, strategy)
                 .unwrap();
-            let par = bp_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap();
-            assert_eq!(
-                par.table2_row(),
-                workload.paper_table2(Strategy::Staged),
-                "{workload}: Table II counts"
-            );
-            assert!(
-                (serial.device_seconds() - par.device_seconds()).abs() < 1e-15,
-                "{workload}: total modeled device time"
-            );
-            assert_bits_eq(
-                &serial.field.unwrap().data,
-                &par.field.unwrap().data,
-                &format!("{workload}"),
-            );
-        }
-    }
-
-    /// The pool dispatch itself is invisible: running the branch-parallel
-    /// executor with the thread-local serial override (everything inline on
-    /// one thread) yields the same bits, the same event stream in the same
-    /// order, and the same virtual clock.
-    #[test]
-    fn pool_and_inline_execution_agree_exactly() {
-        let fields = small_rt_fields([6, 5, 4]);
-        for workload in Workload::ALL {
-            let pooled = bp_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap();
-            let inline = dfg_exec::with_serial(|| {
-                bp_engine()
-                    .derive(workload.source(), &fields, Strategy::Staged)
+            let ser = dfg_exec::with_serial(|| {
+                cpu_engine()
+                    .derive(workload.source(), &fields, strategy)
                     .unwrap()
             });
-            assert_bits_eq(
-                &pooled.field.unwrap().data,
-                &inline.field.unwrap().data,
-                &format!("{workload}: field"),
-            );
-            let (pe, ie) = (&pooled.profile.events, &inline.profile.events);
-            assert_eq!(pe.len(), ie.len(), "{workload}: event count");
-            for (a, b) in pe.iter().zip(ie) {
-                assert_eq!(a.label, b.label, "{workload}: event order");
-                assert_eq!(a.kind, b.kind, "{workload}: event kinds");
-                assert_eq!(a.t_start.to_bits(), b.t_start.to_bits());
-                assert_eq!(a.t_end.to_bits(), b.t_end.to_bits());
-            }
+            assert_eq!(bits(par), bits(ser), "{workload}/{strategy}");
         }
-    }
-
-    /// Every strategy is bit-stable under the serial override: parallel
-    /// chunked kernels use globally-indexed chunks, so the thread count
-    /// never leaks into results.
-    #[test]
-    fn all_strategies_bit_identical_under_serial_override() {
-        let fields = small_rt_fields([8, 7, 6]);
-        for workload in Workload::ALL {
-            for strategy in Strategy::ALL {
-                let par = cpu_engine()
-                    .derive(workload.source(), &fields, strategy)
-                    .unwrap();
-                let ser = dfg_exec::with_serial(|| {
-                    cpu_engine()
-                        .derive(workload.source(), &fields, strategy)
-                        .unwrap()
-                });
-                assert_bits_eq(
-                    &par.field.unwrap().data,
-                    &ser.field.unwrap().data,
-                    &format!("{workload}/{strategy}"),
-                );
-            }
-        }
-    }
-
-    /// Model mode reproduces real mode's event stream and virtual clock
-    /// under branch-parallel dispatch (no bodies run, same protocol).
-    #[test]
-    fn model_mode_matches_real_under_branch_parallel() {
-        let dims = [6, 5, 4];
-        let run = |mode: ExecMode| {
-            let fields = match mode {
-                ExecMode::Real => small_rt_fields(dims),
-                ExecMode::Model => FieldSet::virtual_rt(dims),
-            };
-            let mut engine = Engine::with_options(
-                DeviceProfile::intel_x5660(),
-                EngineOptions {
-                    mode,
-                    branch_parallel: true,
-                    ..Default::default()
-                },
-            );
-            let mut out = Vec::new();
-            for workload in Workload::ALL {
-                let r = engine
-                    .derive(workload.source(), &fields, Strategy::Staged)
-                    .unwrap();
-                let labels: Vec<String> =
-                    r.profile.events.iter().map(|e| e.label.clone()).collect();
-                out.push((
-                    r.table2_row(),
-                    r.high_water_bytes(),
-                    r.device_seconds(),
-                    labels,
-                ));
-            }
-            out
-        };
-        let real = run(ExecMode::Real);
-        let model = run(ExecMode::Model);
-        for (rw, (r, m)) in Workload::ALL.iter().zip(real.iter().zip(&model)) {
-            assert_eq!(r.0, m.0, "{rw}: counts");
-            assert_eq!(r.1, m.1, "{rw}: high water");
-            assert!((r.2 - m.2).abs() < 1e-15, "{rw}: device seconds");
-            assert_eq!(r.3, m.3, "{rw}: event order");
-        }
-    }
-
-    /// Sessions running branch-parallel agree with one-shot serial staged
-    /// across cycles, and keep the resident-bytes invariant.
-    #[test]
-    fn session_branch_parallel_matches_serial_one_shot() {
-        let fields = small_rt_fields([6, 5, 4]);
-        for workload in Workload::ALL {
-            let baseline = cpu_engine()
-                .derive(workload.source(), &fields, Strategy::Staged)
-                .unwrap()
-                .field
-                .unwrap();
-            let mut engine = bp_engine();
-            let mut session = engine.session();
-            for cycle in 0..3 {
-                let again = session
-                    .derive(workload.source(), &fields, Strategy::Staged)
-                    .unwrap()
-                    .field
-                    .unwrap();
-                assert_bits_eq(
-                    &baseline.data,
-                    &again.data,
-                    &format!("{workload} cycle {cycle}"),
-                );
-            }
-        }
-    }
-
-    /// Branch-parallel dispatch is visible in traces: `exec.level` spans
-    /// carry the fan-out and wrap one `exec.task` per batched kernel, and
-    /// the serial executor emits none of them.
-    #[test]
-    fn exec_spans_surface_level_fanout() {
-        let fields = small_rt_fields([6, 5, 4]);
-        let mut engine = bp_engine();
-        engine.set_tracer(Tracer::new());
-        let report = engine
-            .derive(
-                Workload::VorticityMagnitude.source(),
-                &fields,
-                Strategy::Staged,
-            )
-            .unwrap();
-        let trace = report.trace.expect("tracer attached");
-        let levels: Vec<_> = trace
-            .spans()
-            .iter()
-            .filter(|s| s.name == "exec.level")
-            .collect();
-        assert!(!levels.is_empty(), "vorticity has multi-kernel levels");
-        assert!(
-            levels
-                .iter()
-                .any(|s| s.meta_u64("fanout").unwrap_or(0) >= 2),
-            "at least one level fans out to 2+ kernels"
-        );
-        for s in &levels {
-            assert!(s.meta_get("level").is_some());
-            assert!(s.meta_get("queue_depth").is_some());
-            assert!(
-                s.virt_start.is_some() && s.virt_end.is_some(),
-                "level spans carry virtual-clock endpoints"
-            );
-        }
-        let tasks = trace.spans().iter().filter(|s| s.name == "exec.task");
-        let fanout_total: u64 = levels
-            .iter()
-            .map(|s| s.meta_u64("fanout").unwrap_or(0))
-            .sum();
-        assert_eq!(
-            tasks.count() as u64,
-            fanout_total,
-            "one task span per batched kernel"
-        );
-        // Serial engine: no exec.* spans at all.
-        let mut serial = cpu_engine();
-        serial.set_tracer(Tracer::new());
-        let serial_report = serial
-            .derive(
-                Workload::VorticityMagnitude.source(),
-                &fields,
-                Strategy::Staged,
-            )
-            .unwrap();
-        assert!(serial_report
-            .trace
-            .unwrap()
-            .spans()
-            .iter()
-            .all(|s| !s.name.starts_with("exec.")));
     }
 }

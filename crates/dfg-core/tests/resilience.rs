@@ -329,30 +329,79 @@ fn persistent_alloc_fault_falls_back_and_stays_bit_exact() {
     assert_eq!(got, bits.for_level(completed));
 }
 
+/// The entry points the clean-path parity check drives: every strategy's
+/// `derive`, a single-output `derive_many`, and `derive_streamed`.
+#[derive(Debug, Clone, Copy)]
+enum Input {
+    Derive(Strategy),
+    DeriveOne(Strategy),
+    Streamed,
+}
+
+/// Run `input` and return its one output field's bits with the report.
+fn run_input(
+    engine: &mut Engine,
+    input: Input,
+    workload: Workload,
+    fields: &FieldSet,
+) -> (Vec<u32>, dfg_core::ExecReport) {
+    let source = workload.source();
+    let (field, report) = match input {
+        Input::Derive(s) => {
+            let mut report = engine.derive(source, fields, s).unwrap();
+            (report.field.take().unwrap(), report)
+        }
+        Input::DeriveOne(s) => {
+            let output = match workload {
+                Workload::VelocityMagnitude => "v_mag",
+                Workload::VorticityMagnitude => "w_mag",
+                Workload::QCriterion => "q_crit",
+            };
+            let (mut named, report) = engine.derive_many(source, &[output], fields, s).unwrap();
+            (named.pop().unwrap().1, report)
+        }
+        Input::Streamed => {
+            let mut report = engine.derive_streamed(source, fields, None).unwrap();
+            (report.field.take().unwrap(), report)
+        }
+    };
+    (field.data.iter().map(|v| v.to_bits()).collect(), report)
+}
+
 #[test]
 fn fault_free_runs_with_recovery_enabled_are_untouched() {
     // The recovery driver's clean path must be observationally identical to
-    // the plain executors: same bits, same device events, same clock, no
-    // recovery record.
+    // the plain executors: same bits, same device events and labels, same
+    // clock, same generated source, no recovery record.
     let fields = rt_fields();
-    for workload in Workload::ALL {
-        for strategy in Strategy::ALL {
+    let inputs = Strategy::ALL
+        .map(Input::Derive)
+        .into_iter()
+        .chain([Input::DeriveOne(Strategy::Fusion), Input::Streamed]);
+    for input in inputs {
+        for workload in Workload::ALL {
             let mut plain = Engine::new(DeviceProfile::intel_x5660());
             let mut resilient = resilient_cpu_engine();
-            let a = plain.derive(workload.source(), &fields, strategy).unwrap();
-            let b = resilient
-                .derive(workload.source(), &fields, strategy)
-                .unwrap();
-            assert!(b.recovery.is_none(), "clean run reports no recovery");
-            assert_eq!(
-                a.field.as_ref().unwrap().data,
-                b.field.as_ref().unwrap().data,
-                "{workload}/{strategy}"
+            let (bits_a, a) = run_input(&mut plain, input, workload, &fields);
+            let (bits_b, b) = run_input(&mut resilient, input, workload, &fields);
+            let case = format!("{workload}/{input:?}");
+            assert!(
+                b.recovery.is_none(),
+                "{case}: clean run reports no recovery"
             );
-            assert_eq!(a.profile.events.len(), b.profile.events.len());
+            assert_eq!(bits_a, bits_b, "{case}");
+            assert_eq!(a.generated_source, b.generated_source, "{case}");
+            let labels = |r: &dfg_core::ExecReport| -> Vec<(dfg_ocl::EventKind, String)> {
+                r.profile
+                    .events
+                    .iter()
+                    .map(|e| (e.kind, e.label.clone()))
+                    .collect()
+            };
+            assert_eq!(labels(&a), labels(&b), "{case}");
             assert_eq!(a.profile.high_water_bytes, b.profile.high_water_bytes);
-            assert_eq!(a.device_seconds(), b.device_seconds());
-            assert_eq!(a.table2_row(), b.table2_row());
+            assert_eq!(a.device_seconds(), b.device_seconds(), "{case}");
+            assert_eq!(a.table2_row(), b.table2_row(), "{case}");
         }
     }
 }
@@ -478,32 +527,62 @@ fn disabled_recovery_surfaces_raw_typed_errors() {
 
 #[test]
 fn exhaustion_reports_every_attempt_and_keeps_the_session_clean() {
-    // Rate-1.0 alloc faults kill every level of the chain. The error must
-    // be Exhausted with the full attempt list, and the session context must
-    // still hold exactly its resident bytes afterwards.
+    // Two inputs. With recovery on, rate-1.0 alloc faults kill every level
+    // of the chain: the error must be Exhausted with the full attempt list.
+    // With recovery off (the default), one transient launch fault mid-way
+    // through a staged cycle fails it: the raw typed error comes back and
+    // the next cycle succeeds. Either way the session context must still
+    // hold exactly its resident bytes afterwards.
     let fields = rt_fields();
-    let mut engine = resilient_cpu_engine();
-    let plan = FaultPlan::with_seed(3);
-    plan.fail_at_rate(FaultKind::Alloc, 1.0);
-    engine.set_fault_plan(plan);
-    let mut sess = engine.session();
-    let err = sess
-        .derive(
-            Workload::VelocityMagnitude.source(),
-            &fields,
-            Strategy::Fusion,
-        )
-        .expect_err("every level's first allocation fails");
-    let recovery = err.recovery().expect("exhausted carries the story");
-    assert!(recovery.completed.is_none());
-    assert!(recovery.fallbacks >= 1, "the chain was walked");
-    assert!(err.is_out_of_memory(), "the final failure is OOM-shaped");
-    assert_eq!(
-        sess.context().in_use_bytes(),
-        sess.resident_bytes(),
-        "failed attempts leak nothing"
-    );
-    assert_eq!(sess.end().cycles, 0);
+    let source = Workload::VelocityMagnitude.source();
+    for recovery in [true, false] {
+        let (options, plan, strategy) = if recovery {
+            let plan = FaultPlan::with_seed(3);
+            plan.fail_at_rate(FaultKind::Alloc, 1.0);
+            (resilient_options(), plan, Strategy::Fusion)
+        } else {
+            let plan = FaultPlan::parse("launch@2").unwrap();
+            (EngineOptions::default(), plan, Strategy::Staged)
+        };
+        let mut engine = Engine::with_options(DeviceProfile::intel_x5660(), options);
+        engine.set_fault_plan(plan);
+        let mut sess = engine.session();
+        let err = sess
+            .derive(source, &fields, strategy)
+            .expect_err("the injected fault fails the cycle");
+        if recovery {
+            let recovery = err.recovery().expect("exhausted carries the story");
+            assert!(recovery.completed.is_none());
+            assert!(recovery.fallbacks >= 1, "the chain was walked");
+            assert!(err.is_out_of_memory(), "the final failure is OOM-shaped");
+        } else {
+            assert!(
+                matches!(
+                    &err,
+                    EngineError::Ocl(dfg_ocl::OclError::LaunchFailed {
+                        transient: true,
+                        ..
+                    })
+                ),
+                "raw typed error, not Exhausted: {err}"
+            );
+            assert!(err.recovery().is_none());
+        }
+        assert_eq!(
+            sess.context().in_use_bytes(),
+            sess.resident_bytes(),
+            "recovery {recovery}: failed attempts leak nothing"
+        );
+        let cycles = if recovery {
+            0
+        } else {
+            sess.derive(source, &fields, strategy)
+                .expect("the next cycle succeeds");
+            assert_eq!(sess.context().in_use_bytes(), sess.resident_bytes());
+            1
+        };
+        assert_eq!(sess.end().cycles, cycles);
+    }
 }
 
 #[test]

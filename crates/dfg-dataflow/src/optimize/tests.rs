@@ -1,6 +1,15 @@
 use super::*;
 use crate::{NetworkBuilder, Strategy};
 
+/// CSE-only optimization of a single-result network, with the result
+/// re-pointed at its surviving node.
+fn cse(spec: &NetworkSpec) -> (NetworkSpec, OptStats) {
+    let out = optimize(spec, &[spec.result], OptLevel::Cse).unwrap();
+    let mut opt = out.spec;
+    opt.result = out.roots[0];
+    (opt, out.stats)
+}
+
 #[test]
 fn merges_commutative_duplicates() {
     // a+b and b+a collapse; a-b and b-a do not.
@@ -15,7 +24,7 @@ fn merges_commutative_duplicates() {
     let m2 = b.binary(FilterOp::Mul, s2, d2);
     let out = b.binary(FilterOp::Add, m1, m2);
     let spec = b.finish(out);
-    let (opt, stats) = full_cse(&spec);
+    let (opt, stats) = cse(&spec);
     assert!(opt.validate().is_ok());
     // adds merged (s1==s2); subs kept; m1 != m2 (different sub inputs).
     assert_eq!(stats.merged, 1);
@@ -35,7 +44,7 @@ fn chains_of_duplicates_collapse_transitively() {
     let a2 = b.binary(FilterOp::Add, m3, m4);
     let out = b.binary(FilterOp::Max2, a1, a2);
     let spec = b.finish(out);
-    let (opt, stats) = full_cse(&spec);
+    let (opt, stats) = cse(&spec);
     // x, one mult, one add, one max = 4 nodes.
     assert_eq!(opt.len(), 4);
     assert_eq!(stats.merged, 4);
@@ -60,7 +69,7 @@ fn names_survive_merging() {
     b.name(a2, "second");
     let out = b.binary(FilterOp::Mul, a1, a2);
     let spec = b.finish(out);
-    let (opt, _) = full_cse(&spec);
+    let (opt, _) = cse(&spec);
     // The survivor keeps its first name.
     let add = opt
         .iter()

@@ -19,8 +19,8 @@
 //! * The core primitive is [`parallel_for`]: run `f(0..n)` with the calling
 //!   thread participating. Blocking helpers *help* — while waiting for
 //!   their spawned jobs they pop and run other pool jobs — so nested
-//!   `parallel_for` calls (a branch-parallel level whose kernels chunk
-//!   internally) cannot deadlock the fixed worker set.
+//!   `parallel_for` calls (a kernel body that chunks internally while
+//!   running on a worker) cannot deadlock the fixed worker set.
 //!
 //! # Determinism
 //!

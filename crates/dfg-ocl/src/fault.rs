@@ -111,7 +111,7 @@ pub enum FaultKind {
     Alloc,
     /// Host↔device transfers (`enqueue_write*` / `enqueue_read*`).
     Transfer,
-    /// Kernel launches (`launch` / each member of `launch_batch`).
+    /// Kernel launches (`launch` / `launch_q`).
     Launch,
     /// Kernel compilations (`record_compile`).
     Compile,
@@ -134,9 +134,8 @@ pub enum FaultKind {
     /// read; models line noise that the protocol layer must survive.
     ByteGarble,
     /// Silent corruption: one bit of a written kernel-input buffer flipped
-    /// before the launch consumes it, checked once per launch (and per
-    /// batch member). No error at the injection site — detection is the
-    /// integrity layer's job.
+    /// before the launch consumes it, checked once per launch. No error at
+    /// the injection site — detection is the integrity layer's job.
     MemFlip,
     /// Silent corruption: a pool hand-out skips the contents clear, so the
     /// new owner observes the previous owner's data where zeros were due.

@@ -370,9 +370,11 @@ proptest! {
     /// bit on random expressions over real field data.
     #[test]
     fn full_cse_preserves_results(src in arb_expr()) {
-        use dfg::dataflow::full_cse;
+        use dfg::dataflow::{optimize, OptLevel};
         let spec = compile(&format!("r = {src}")).expect("valid");
-        let (opt, stats) = full_cse(&spec);
+        let out = optimize(&spec, &[spec.result], OptLevel::Cse).expect("valid");
+        let (mut opt, stats) = (out.spec, out.stats);
+        opt.result = out.roots[0];
         prop_assert!(opt.validate().is_ok());
         prop_assert!(opt.len() <= spec.len());
         prop_assert_eq!(stats.nodes_after + stats.merged,
