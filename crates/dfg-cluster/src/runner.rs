@@ -300,14 +300,67 @@ fn block_index(block: [usize; 3], nblocks: [usize; 3]) -> usize {
     block[0] + nblocks[0] * (block[1] + nblocks[1] * block[2])
 }
 
+/// What a rank's block derives add up to.
+#[derive(Default)]
+struct BlockTally {
+    /// Modeled device seconds, summed over blocks.
+    device_seconds: f64,
+    /// Largest device high-water mark of any block.
+    high_water: u64,
+    /// Kernel executions, summed over blocks.
+    kernel_execs: usize,
+    /// Whether any block completed degraded.
+    degraded: bool,
+    /// Recovery activity, absorbed block by block.
+    recovery: RecoveryReport,
+}
+
+/// Derive the workload over block `b` and its one-cell ghost layer: in real
+/// mode from `velocity` (the ghosted `u, v, w`) plus the ghosted sub-mesh's
+/// coordinates and `dims`, in model mode over a virtual field set of the
+/// same extent. Adds the run to `tally` and returns the block's interior
+/// values (real mode).
+fn derive_block(
+    engine: &mut Engine,
+    opts: &DistOptions,
+    global: &RectilinearMesh,
+    global_dims: [usize; 3],
+    b: &SubGrid,
+    velocity: Option<[Vec<f32>; 3]>,
+    tally: &mut BlockTally,
+) -> Result<Option<Vec<f32>>, EngineError> {
+    let (goff, gdims) = b.ghosted(1, global_dims);
+    let fields = match velocity {
+        Some([u, v, w]) => {
+            let gmesh = global.submesh(goff, gdims);
+            let (x, y, z) = gmesh.coord_arrays();
+            let mut fs = FieldSet::new(gmesh.ncells());
+            for (name, data) in [("u", u), ("v", v), ("w", w), ("x", x), ("y", y), ("z", z)] {
+                fs.insert_scalar(name, data).expect("sized");
+            }
+            fs.insert_small("dims", gmesh.dims_buffer());
+            fs
+        }
+        None => FieldSet::virtual_rt(gdims),
+    };
+    let report = engine.derive(opts.workload.source(), &fields, opts.strategy)?;
+    tally.device_seconds += report.device_seconds();
+    tally.high_water = tally.high_water.max(report.high_water_bytes());
+    tally.kernel_execs += report.profile.count(dfg_ocl::EventKind::KernelExec);
+    if let Some(r) = &report.recovery {
+        tally.degraded |= r.degraded;
+        tally.recovery.absorb(r);
+    }
+    Ok(report.field.map(|out| {
+        let (istart, idims) = b.interior_in_ghosted(1, global_dims);
+        extract_interior(&out.data, gdims, istart, idims, 1)
+    }))
+}
+
 struct RankOutput {
     results: Vec<(usize, Vec<f32>)>,
-    device_seconds: f64,
-    high_water: u64,
-    kernel_execs: usize,
+    tally: BlockTally,
     trace: Option<Trace>,
-    degraded: bool,
-    recovery: RecoveryReport,
     ghost_filled_faces: usize,
     exchange_timeouts: usize,
     exchange_wait_seconds: f64,
@@ -319,12 +372,8 @@ impl RankOutput {
     fn empty() -> RankOutput {
         RankOutput {
             results: Vec::new(),
-            device_seconds: 0.0,
-            high_water: 0,
-            kernel_execs: 0,
+            tally: BlockTally::default(),
             trace: None,
-            degraded: false,
-            recovery: RecoveryReport::default(),
             ghost_filled_faces: 0,
             exchange_timeouts: 0,
             exchange_wait_seconds: 0.0,
@@ -663,13 +712,9 @@ fn run_distributed_inner(
     }
 
     // Fold the survivors' outputs into the global result.
-    let mut rank_device_seconds = vec![0.0f64; ranks];
-    let mut rank_recovery: Vec<RecoveryReport> = vec![RecoveryReport::default(); ranks];
-    let mut max_high_water = 0u64;
-    let mut total_kernel_execs = 0usize;
+    let mut tallies: Vec<BlockTally> = (0..ranks).map(|_| BlockTally::default()).collect();
     let mut field = real.then(|| vec![0.0f32; global.ncells()]);
     let mut rank_traces = Vec::new();
-    let mut degraded_ranks = Vec::new();
     let mut ghost_filled_faces = 0usize;
     let mut exchange_timeouts = 0usize;
     let mut exchange_wait_seconds = 0.0f64;
@@ -680,18 +725,12 @@ fn run_distributed_inner(
         let Some(out) = outputs[rank].take() else {
             continue;
         };
-        rank_device_seconds[rank] = out.device_seconds;
-        max_high_water = max_high_water.max(out.high_water);
-        total_kernel_execs += out.kernel_execs;
-        if out.degraded {
-            degraded_ranks.push(rank);
-        }
+        tallies[rank] = out.tally;
         ghost_filled_faces += out.ghost_filled_faces;
         exchange_timeouts += out.exchange_timeouts;
         exchange_wait_seconds += out.exchange_wait_seconds;
         exchange_drops += out.exchange_drops;
         garbled_faces += out.garbled_faces;
-        rank_recovery[rank] = out.recovery;
         if let Some(trace) = out.trace {
             rank_traces.push((rank as u64, trace));
         }
@@ -747,51 +786,24 @@ fn run_distributed_inner(
             };
             for &bi in bis {
                 let b = &blocks[bi];
-                let (goff, gdims) = b.ghosted(1, global_dims);
-                let report = if real {
-                    let gmesh = global.submesh(goff, gdims);
-                    let (u, v, w) = rt.sample_velocity(&gmesh);
-                    let (x, y, z) = gmesh.coord_arrays();
-                    let mut fs = FieldSet::new(gmesh.ncells());
-                    fs.insert_scalar("u", u).expect("sized");
-                    fs.insert_scalar("v", v).expect("sized");
-                    fs.insert_scalar("w", w).expect("sized");
-                    fs.insert_scalar("x", x).expect("sized");
-                    fs.insert_scalar("y", y).expect("sized");
-                    fs.insert_scalar("z", z).expect("sized");
-                    fs.insert_small("dims", gmesh.dims_buffer());
-                    let report = engine
-                        .derive(opts.workload.source(), &fs, opts.strategy)
+                let velocity = real.then(|| {
+                    let (goff, gdims) = b.ghosted(1, global_dims);
+                    let (u, v, w) = rt.sample_velocity(&global.submesh(goff, gdims));
+                    [u, v, w]
+                });
+                let tally = &mut tallies[adopter];
+                let interior =
+                    derive_block(&mut engine, opts, global, global_dims, b, velocity, tally)
                         .map_err(adopter_err)?;
-                    let out = report.field.as_ref().expect("real mode yields data");
-                    let (istart, idims) = b.interior_in_ghosted(1, global_dims);
-                    if let Some(f) = field.as_mut() {
-                        let interior = extract_interior(&out.data, gdims, istart, idims, 1);
-                        decomp::insert_block(f, global_dims, b.offset, b.dims, &interior);
-                    }
-                    report
-                } else {
-                    let fs = FieldSet::virtual_rt(gdims);
-                    engine
-                        .derive(opts.workload.source(), &fs, opts.strategy)
-                        .map_err(adopter_err)?
-                };
-                rank_device_seconds[adopter] += report.device_seconds();
-                max_high_water = max_high_water.max(report.high_water_bytes());
-                total_kernel_execs += report.profile.count(dfg_ocl::EventKind::KernelExec);
-                if let Some(r) = &report.recovery {
-                    rank_recovery[adopter].absorb(r);
-                    if r.degraded {
-                        degraded_ranks.push(adopter);
-                    }
+                if let (Some(f), Some(interior)) = (field.as_mut(), interior) {
+                    decomp::insert_block(f, global_dims, b.offset, b.dims, &interior);
                 }
             }
             adopted_counts[adopter] = bis.len();
             drop(rspan);
         }
     }
-    degraded_ranks.sort_unstable();
-    degraded_ranks.dedup();
+    let degraded_ranks: Vec<usize> = (0..ranks).filter(|&r| tallies[r].degraded).collect();
 
     let rank_log: Vec<RankAttempt> = (0..ranks)
         .map(|rank| {
@@ -807,7 +819,7 @@ fn run_distributed_inner(
                 blocks_assigned,
                 blocks_completed,
                 adopted_blocks: adopted_counts[rank],
-                recovery: std::mem::take(&mut rank_recovery[rank]),
+                recovery: std::mem::take(&mut tallies[rank].recovery),
             }
         })
         .collect();
@@ -818,6 +830,7 @@ fn run_distributed_inner(
         }
     }
 
+    let rank_device_seconds: Vec<f64> = tallies.iter().map(|t| t.device_seconds).collect();
     let makespan = rank_device_seconds.iter().cloned().fold(0.0, f64::max);
     let degraded = !lost_ranks.is_empty()
         || !redistributed.is_empty()
@@ -830,8 +843,8 @@ fn run_distributed_inner(
         field,
         rank_device_seconds,
         makespan_seconds: makespan,
-        max_high_water,
-        total_kernel_execs,
+        max_high_water: tallies.iter().map(|t| t.high_water).max().unwrap_or(0),
+        total_kernel_execs: tallies.iter().map(|t| t.kernel_execs).sum(),
         trace: traced.then(|| Trace::merge(rank_traces)),
         degraded_ranks,
         lost_ranks,
@@ -1149,46 +1162,20 @@ fn run_rank(
 
     // Phase 2: evaluate the expression per sub-grid on this rank's device.
     let mut results = Vec::new();
-    let mut device_seconds = 0.0f64;
-    let mut high_water = 0u64;
-    let mut kernel_execs = 0usize;
-    let mut degraded = false;
-    let mut recovery = RecoveryReport::default();
+    let mut tally = BlockTally::default();
     for (slot, &bi) in my_blocks.iter().enumerate() {
-        let b = &blocks[bi];
-        let (goff, gdims) = b.ghosted(1, global_dims);
-        let report = if real {
-            let gb = &ghosted[slot];
-            let (istart, idims, arrays) = (&gb.istart, &gb.idims, &gb.arrays);
-            let gmesh = global.submesh(goff, gdims);
-            let (x, y, z) = gmesh.coord_arrays();
-            let mut fs = FieldSet::new(gmesh.ncells());
-            fs.insert_scalar("u", arrays[0].clone()).expect("sized");
-            fs.insert_scalar("v", arrays[1].clone()).expect("sized");
-            fs.insert_scalar("w", arrays[2].clone()).expect("sized");
-            fs.insert_scalar("x", x).expect("sized");
-            fs.insert_scalar("y", y).expect("sized");
-            fs.insert_scalar("z", z).expect("sized");
-            fs.insert_small("dims", gmesh.dims_buffer());
-            let report = engine
-                .derive(opts.workload.source(), &fs, opts.strategy)
-                .map_err(err_here)?;
-            let out = report.field.as_ref().expect("real mode yields data");
-            results.push((bi, extract_interior(&out.data, gdims, *istart, *idims, 1)));
-            report
-        } else {
-            let fs = FieldSet::virtual_rt(gdims);
-            engine
-                .derive(opts.workload.source(), &fs, opts.strategy)
-                .map_err(err_here)?
-        };
-        device_seconds += report.device_seconds();
-        high_water = high_water.max(report.high_water_bytes());
-        kernel_execs += report.profile.count(dfg_ocl::EventKind::KernelExec);
-        degraded |= report.recovery.as_ref().is_some_and(|r| r.degraded);
-        if let Some(r) = &report.recovery {
-            recovery.absorb(r);
-        }
+        let velocity = real.then(|| std::mem::take(&mut ghosted[slot].arrays));
+        let interior = derive_block(
+            &mut engine,
+            opts,
+            global,
+            global_dims,
+            &blocks[bi],
+            velocity,
+            &mut tally,
+        )
+        .map_err(err_here)?;
+        results.extend(interior.map(|values| (bi, values)));
         let _ = ctrl.send(CtrlMsg::Heartbeat {
             rank,
             blocks_done: slot + 1,
@@ -1197,12 +1184,8 @@ fn run_rank(
     drop(_rank_span);
     Ok(RankOutput {
         results,
-        device_seconds,
-        high_water,
-        kernel_execs,
+        tally,
         trace: tracer.as_ref().map(Tracer::snapshot),
-        degraded,
-        recovery,
         ghost_filled_faces,
         exchange_timeouts,
         exchange_wait_seconds,

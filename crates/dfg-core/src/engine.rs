@@ -11,7 +11,7 @@ use crate::error::EngineError;
 use crate::fields::{Field, FieldSet};
 use crate::recovery::{run_with_recovery, ExecLevel, RecoveryPolicy, RecoveryReport};
 use crate::session::SessionState;
-use crate::strategies::{check_field, lanes_for};
+use crate::strategies::{download, lanes_for, upload_field};
 use crate::workloads::Workload;
 
 /// Engine configuration.
@@ -607,7 +607,6 @@ impl Engine {
     ) -> Result<ExecReport, EngineError> {
         let mark = self.trace_mark();
         let mut ctx = self.traced_context();
-        let real = self.options.mode == ExecMode::Real;
         let n = fields.ncells();
         let kernel = workload.reference_kernel();
         let exec_span = span!(self.tracer, "execute.reference", ncells = n);
@@ -616,28 +615,15 @@ impl Engine {
         let mut bufs = Vec::new();
         for name in workload.reference_input_names() {
             let small = *name == "dims";
-            let fv = check_field(fields, name, small, ctx.mode())?;
-            let buf = ctx.create_buffer(lanes_for(fv.width, n))?;
-            if real {
-                ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-            } else {
-                ctx.enqueue_write_virtual(buf)?;
-            }
-            bufs.push(buf);
+            bufs.push(upload_field(fields, &mut ctx, name, small, None)?);
         }
         let out = ctx.create_buffer(lanes_for(Width::Scalar, n))?;
         ctx.launch(kernel.as_ref(), &bufs, out, n)?;
-        let field = if real {
-            let data = ctx.enqueue_read(out)?;
-            Some(Field {
-                width: Width::Scalar,
-                ncells: n,
-                data,
-            })
-        } else {
-            ctx.enqueue_read_virtual(out)?;
-            None
-        };
+        let field = download(&mut ctx, out, n)?.map(|data| Field {
+            width: Width::Scalar,
+            ncells: n,
+            data,
+        });
         for buf in bufs {
             ctx.release(buf)?;
         }

@@ -2,6 +2,7 @@
 //! host interface (§III-D), in Rust form.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dfg_dataflow::Width;
 use dfg_mesh::{RectilinearMesh, RtWorkload};
@@ -14,15 +15,16 @@ pub struct FieldValue {
     /// Backing data (`None` for virtual fields used with
     /// [`dfg_ocl::ExecMode::Model`]).
     pub data: Option<Vec<f32>>,
-    /// Version counter, bumped by every insert/update/touch of this name.
+    /// Version stamp, renewed by every insert/update/touch of this name.
     /// A [`crate::Session`] compares it against the generation of its
     /// device-resident copy to decide whether a re-upload is needed.
     generation: u64,
 }
 
 impl FieldValue {
-    /// The field's current version. Monotonically increasing per
-    /// [`FieldSet`]; unchanged by [`Clone`].
+    /// The field's current version: unique across every [`FieldSet`] in
+    /// the process and increasing with each mutation; unchanged by
+    /// [`Clone`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -34,8 +36,17 @@ impl FieldValue {
 pub struct FieldSet {
     ncells: usize,
     fields: HashMap<String, FieldValue>,
-    /// Next generation to hand out; generations are unique within a set.
-    next_gen: u64,
+}
+
+/// The next field generation. One counter for the whole process, so two
+/// independently built sets never share a generation: a session holding a
+/// resident copy of one set's `u` re-uploads when handed another set's.
+/// Only uniqueness is needed — the counter publishes no other data — so
+/// `Relaxed` suffices.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_gen() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
 impl FieldSet {
@@ -44,14 +55,7 @@ impl FieldSet {
         FieldSet {
             ncells,
             fields: HashMap::new(),
-            next_gen: 1,
         }
-    }
-
-    fn fresh_gen(&mut self) -> u64 {
-        let g = self.next_gen;
-        self.next_gen += 1;
-        g
     }
 
     /// Cell count all problem-sized fields must match.
@@ -67,7 +71,7 @@ impl FieldSet {
         if data.len() != self.ncells {
             return Err((self.ncells, data.len()));
         }
-        let generation = self.fresh_gen();
+        let generation = fresh_gen();
         self.fields.insert(
             name.to_string(),
             FieldValue {
@@ -91,7 +95,7 @@ impl FieldSet {
         if data.len() != self.ncells {
             return Err((self.ncells, data.len()));
         }
-        let generation = self.fresh_gen();
+        let generation = fresh_gen();
         let field = self
             .fields
             .get_mut(name)
@@ -107,7 +111,7 @@ impl FieldSet {
     /// clone-and-reinsert), bumping its generation. Returns `false` if the
     /// field does not exist.
     pub fn touch(&mut self, name: &str) -> bool {
-        let generation = self.fresh_gen();
+        let generation = fresh_gen();
         match self.fields.get_mut(name) {
             Some(field) => {
                 field.generation = generation;
@@ -119,7 +123,7 @@ impl FieldSet {
 
     /// Insert a small auxiliary buffer (e.g. `dims`, 3 lanes).
     pub fn insert_small(&mut self, name: &str, data: Vec<f32>) {
-        let generation = self.fresh_gen();
+        let generation = fresh_gen();
         self.fields.insert(
             name.to_string(),
             FieldValue {
@@ -132,7 +136,7 @@ impl FieldSet {
 
     /// Insert a virtual scalar field (model mode: shape only, no data).
     pub fn insert_virtual_scalar(&mut self, name: &str) {
-        let generation = self.fresh_gen();
+        let generation = fresh_gen();
         self.fields.insert(
             name.to_string(),
             FieldValue {
@@ -145,7 +149,7 @@ impl FieldSet {
 
     /// Insert a virtual small buffer.
     pub fn insert_virtual_small(&mut self, name: &str) {
-        let generation = self.fresh_gen();
+        let generation = fresh_gen();
         self.fields.insert(
             name.to_string(),
             FieldValue {
@@ -272,7 +276,7 @@ mod tests {
         fs.insert_scalar("v", vec![0.0; 4]).unwrap();
         let gu = fs.get("u").unwrap().generation();
         let gv = fs.get("v").unwrap().generation();
-        assert_ne!(gu, gv, "generations are unique within a set");
+        assert_ne!(gu, gv, "generations are unique");
 
         // Updating one field bumps only that field.
         fs.update_scalar("u", &[1.0; 4]).unwrap();

@@ -35,13 +35,13 @@ use std::collections::HashMap;
 
 use dfg_dataflow::{NetworkSpec, NodeId, Strategy};
 use dfg_kernels::FusedProgram;
-use dfg_ocl::{BufferId, Context, ExecMode};
+use dfg_ocl::{BufferId, Context};
 use dfg_trace::span;
 
 use crate::engine::{Engine, ExecReport, Kind, Request};
 use crate::error::EngineError;
 use crate::fields::FieldSet;
-use crate::strategies::{check_field, lanes_for};
+use crate::strategies::{check_field, lanes_for, write_field};
 
 /// A device-resident copy of one host input field.
 pub(crate) struct Resident {
@@ -119,7 +119,6 @@ impl SessionState {
     ) -> Result<BufferId, EngineError> {
         let fv = check_field(fields, name, small, ctx.mode())?;
         let lanes = lanes_for(fv.width, fields.ncells());
-        let real = ctx.mode() == ExecMode::Real;
         let tracer = ctx.tracer().cloned();
         if let Some(r) = self.resident.get(name) {
             if r.lanes == lanes {
@@ -153,11 +152,7 @@ impl SessionState {
                         Err(e) => return Err(e.into()),
                     }
                 }
-                if real {
-                    ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-                } else {
-                    ctx.enqueue_write_virtual(buf)?;
-                }
+                write_field(ctx, buf, fv, lanes)?;
                 self.stats.uploads += 1;
                 self.resident.get_mut(name).expect("present").generation = fv.generation();
                 return Ok(buf);
@@ -167,11 +162,7 @@ impl SessionState {
             ctx.release(stale.buf)?;
         }
         let buf = ctx.create_buffer(lanes)?;
-        if real {
-            ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-        } else {
-            ctx.enqueue_write_virtual(buf)?;
-        }
+        write_field(ctx, buf, fv, lanes)?;
         self.stats.uploads += 1;
         self.resident.insert(
             name.to_string(),

@@ -6,14 +6,14 @@
 //! registers, and one download returns the result.
 
 use dfg_dataflow::Width;
-use dfg_kernels::{fuse_roots, FusedKernel};
-use dfg_ocl::{Context, ExecMode};
+use dfg_kernels::FusedKernel;
+use dfg_ocl::Context;
 
 use crate::engine::Request;
 use crate::error::EngineError;
 use crate::fields::Field;
-use crate::session::{program_key, CachedProgram, SessionState};
-use crate::strategies::{check_field, lanes_for};
+use crate::session::SessionState;
+use crate::strategies::{cached_program, download, upload_field};
 
 /// Execute the request with the fusion strategy: one generated kernel
 /// computes every root, writing an interleaved output buffer that is
@@ -28,49 +28,11 @@ pub(crate) fn run(
     ctx: &mut Context,
     mut session: Option<&mut SessionState>,
 ) -> Result<(Option<Vec<Field>>, String), EngineError> {
-    let (spec, roots, fields) = (req.spec, req.roots, req.fields);
+    let fields = req.fields;
     let label = req.label();
-    let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();
-    let kernel_name = format!("fused_{label}");
-    let cached = session.as_deref_mut().and_then(|state| {
-        let key = program_key(spec, roots, false);
-        let hit = state
-            .programs
-            .get(&key)
-            .map(|c| (c.program.clone(), c.source.clone()));
-        if hit.is_some() {
-            state.stats.codegen_cached += 1;
-        }
-        hit
-    });
-    let (program, source) = match cached {
-        Some((program, source)) => {
-            drop(dfg_trace::span!(tracer, "codegen.cached", label = label));
-            (program, source)
-        }
-        None => {
-            let program = {
-                let _codegen = dfg_trace::span!(tracer, "fusion.codegen", label = label);
-                let program = fuse_roots(spec, roots)?;
-                ctx.record_compile(&kernel_name)?;
-                program
-            };
-            let source = program.generated_source(&kernel_name);
-            if let Some(state) = session.as_deref_mut() {
-                state.stats.codegen_compiles += 1;
-                state.programs.insert(
-                    program_key(spec, roots, false),
-                    CachedProgram {
-                        program: program.clone(),
-                        source: source.clone(),
-                    },
-                );
-            }
-            (program, source)
-        }
-    };
+    let (program, source) = cached_program(req, req.roots, false, ctx, session.as_deref_mut())?;
 
     let mut bufs = Vec::with_capacity(program.inputs.len());
     // Buffers this call created and must release (with a session, resident
@@ -79,20 +41,10 @@ pub(crate) fn run(
     {
         let _upload = dfg_trace::span!(tracer, "fusion.upload", inputs = program.inputs.len());
         for slot in &program.inputs {
-            let buf = match session.as_deref_mut() {
-                Some(state) => state.bind_input(ctx, fields, &slot.name, slot.small)?,
-                None => {
-                    let fv = check_field(fields, &slot.name, slot.small, ctx.mode())?;
-                    let buf = ctx.create_buffer(lanes_for(fv.width, n))?;
-                    if real {
-                        ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-                    } else {
-                        ctx.enqueue_write_virtual(buf)?;
-                    }
-                    owned.push(buf);
-                    buf
-                }
-            };
+            let buf = upload_field(fields, ctx, &slot.name, slot.small, session.as_deref_mut())?;
+            if session.is_none() {
+                owned.push(buf);
+            }
             bufs.push(buf);
         }
     }
@@ -110,8 +62,7 @@ pub(crate) fn run(
     }
 
     let _download = dfg_trace::span!(tracer, "fusion.download");
-    let fields_out = if real {
-        let interleaved = ctx.enqueue_read(out)?;
+    let fields_out = download(ctx, out, lanes_per_elem * n)?.map(|interleaved| {
         let mut result = Vec::with_capacity(outputs_meta.len());
         for &(width, lane_offset) in &outputs_meta {
             let w = match width {
@@ -129,11 +80,8 @@ pub(crate) fn run(
                 data,
             });
         }
-        Some(result)
-    } else {
-        ctx.enqueue_read_virtual(out)?;
-        None
-    };
+        result
+    });
     for buf in owned {
         ctx.release(buf)?;
     }

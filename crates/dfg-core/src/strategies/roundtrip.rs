@@ -12,13 +12,13 @@ use std::collections::HashMap;
 
 use dfg_dataflow::{FilterOp, NetworkSpec, NodeId, Schedule, Width};
 use dfg_kernels::Primitive;
-use dfg_ocl::{Context, DeviceKernel, ExecMode};
+use dfg_ocl::{Context, DeviceKernel, ExecMode, QueueId, Upload};
 
 use crate::engine::Request;
 use crate::error::EngineError;
 use crate::fields::Field;
 use crate::session::SessionState;
-use crate::strategies::{check_field, lanes_for};
+use crate::strategies::{check_field, download, lanes_for};
 
 /// A host-resident intermediate value.
 enum HostVal<'a> {
@@ -129,35 +129,27 @@ pub(crate) fn run(
                                 continue;
                             }
                         }
-                        let w = host_width(spec, input);
-                        let buf = ctx.create_buffer(lanes_for(w, n))?;
-                        if real {
-                            let data = host
-                                .get(&input)
-                                .and_then(HostVal::as_slice)
-                                .expect("scheduled operand present in real mode");
-                            ctx.enqueue_write(buf, data)?;
-                        } else {
-                            ctx.enqueue_write_virtual(buf)?;
-                        }
+                        let lanes = lanes_for(host_width(spec, input), n);
+                        let buf = ctx.create_buffer(lanes)?;
+                        let src = host
+                            .get(&input)
+                            .and_then(HostVal::as_slice)
+                            .map_or(Upload::Virtual(lanes), Upload::Data);
+                        ctx.write(QueueId::DEFAULT, buf, src, &[])?;
                         uploaded.insert(input, buf);
                         created.push(buf);
                         port_bufs.push(buf);
                     }
                 }
-                let out = ctx.create_buffer(lanes_for(op.width(), n))?;
+                let out_lanes = lanes_for(op.width(), n);
+                let out = ctx.create_buffer(out_lanes)?;
                 {
                     let _kernel = dfg_trace::span!(tracer, "roundtrip.kernel");
                     ctx.launch(&prim, &port_bufs, out, n)?;
                 }
                 let val = {
                     let _download = dfg_trace::span!(tracer, "roundtrip.download");
-                    if real {
-                        HostVal::Owned(ctx.enqueue_read(out)?)
-                    } else {
-                        ctx.enqueue_read_virtual(out)?;
-                        HostVal::Virtual
-                    }
+                    download(ctx, out, out_lanes)?.map_or(HostVal::Virtual, HostVal::Owned)
                 };
                 host.insert(id, val);
                 // The device is drained after every filter (each created

@@ -17,34 +17,9 @@ use dfg_ocl::{BufferId, Context, DeviceKernel, ExecMode};
 
 use crate::engine::Request;
 use crate::error::EngineError;
-use crate::fields::{Field, FieldSet};
+use crate::fields::Field;
 use crate::session::SessionState;
-use crate::strategies::{check_field, lanes_for};
-
-/// Upload one named input field, through the session's generation-checked
-/// resident buffers when present, otherwise as a one-shot create + write.
-fn upload_field(
-    fields: &FieldSet,
-    ctx: &mut Context,
-    name: &str,
-    small: bool,
-    n: usize,
-    session: Option<&mut SessionState>,
-) -> Result<BufferId, EngineError> {
-    match session {
-        Some(state) => state.bind_input(ctx, fields, name, small),
-        None => {
-            let fv = check_field(fields, name, small, ctx.mode())?;
-            let buf = ctx.create_buffer(lanes_for(fv.width, n))?;
-            if ctx.mode() == ExecMode::Real {
-                ctx.enqueue_write(buf, fv.data.as_ref().expect("real mode"))?;
-            } else {
-                ctx.enqueue_write_virtual(buf)?;
-            }
-            Ok(buf)
-        }
-    }
-}
+use crate::strategies::{download, lanes_for, upload_field};
 
 /// Execute the request with the staged strategy: one device-to-host read
 /// per root. Returns one field per root in real mode, `None` in model mode.
@@ -80,7 +55,7 @@ pub(crate) fn run(
                         unreachable!("non-input operand {input} not yet resident");
                     };
                     let _upload = dfg_trace::span!(tracer, "staged.upload", port = name.as_str());
-                    let buf = upload_field(fields, ctx, name, *small, n, session.as_deref_mut())?;
+                    let buf = upload_field(fields, ctx, name, *small, session.as_deref_mut())?;
                     dev.insert(input, buf);
                 }
                 let prim = Primitive::from_filter_op(op).expect("compute op or const");
@@ -104,8 +79,7 @@ pub(crate) fn run(
         }
     }
 
-    let real = ctx.mode() == ExecMode::Real;
-    let mut out = real.then(Vec::new);
+    let mut out = Vec::with_capacity(roots.len());
     let _download = dfg_trace::span!(tracer, "staged.download", roots = roots.len());
     for &root in roots {
         let result_buf = match dev.get(&root) {
@@ -117,20 +91,18 @@ pub(crate) fn run(
                 let FilterOp::Input { name, small } = &spec.node(root).op else {
                     unreachable!("non-input root must have been computed")
                 };
-                let buf = upload_field(fields, ctx, name, *small, n, session.as_deref_mut())?;
+                let buf = upload_field(fields, ctx, name, *small, session.as_deref_mut())?;
                 dev.insert(root, buf);
                 buf
             }
         };
-        if let Some(fields_out) = out.as_mut() {
-            let data = ctx.enqueue_read(result_buf)?;
-            fields_out.push(Field {
-                width: spec.width(root),
+        let width = spec.width(root);
+        if let Some(data) = download(ctx, result_buf, lanes_for(width, n))? {
+            out.push(Field {
+                width,
                 ncells: n,
                 data,
             });
-        } else {
-            ctx.enqueue_read_virtual(result_buf)?;
         }
     }
     // Drain the device (session-resident inputs stay for the next cycle).
@@ -139,5 +111,5 @@ pub(crate) fn run(
             ctx.release(buf)?;
         }
     }
-    Ok(out)
+    Ok((ctx.mode() == ExecMode::Real).then_some(out))
 }

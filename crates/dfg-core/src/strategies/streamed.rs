@@ -38,14 +38,14 @@
 //! reads — the steady-state loop performs no per-slab heap allocation.
 
 use dfg_dataflow::Width;
-use dfg_kernels::{fuse, Dims3, FusedKernel};
-use dfg_ocl::{Context, EventToken, ExecMode, StagingRing};
+use dfg_kernels::{Dims3, FusedKernel};
+use dfg_ocl::{Context, Download, EventToken, ExecMode, StagingRing, Upload};
 
 use crate::engine::{Request, SlabPolicy, StreamOptions};
 use crate::error::EngineError;
 use crate::fields::Field;
-use crate::session::{program_key, CachedProgram, SessionState};
-use crate::strategies::check_field;
+use crate::session::SessionState;
+use crate::strategies::{cached_program, check_field};
 
 /// What one streamed run reports back to its driver.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -94,51 +94,14 @@ pub(crate) fn run(
     device_budget_bytes: u64,
     stream: StreamOptions,
     retry: Option<StreamRetry>,
-    mut session: Option<&mut SessionState>,
+    session: Option<&mut SessionState>,
 ) -> Result<(Option<Field>, String, StreamReport), EngineError> {
     let (spec, fields) = (req.spec, req.fields);
     let label = req.label();
     let real = ctx.mode() == ExecMode::Real;
     let n = fields.ncells();
     let tracer = ctx.tracer().cloned();
-    let kernel_name = format!("fused_{label}_streamed");
-    let cached = session.as_deref_mut().and_then(|state| {
-        let key = program_key(spec, &[spec.result], true);
-        let hit = state
-            .programs
-            .get(&key)
-            .map(|c| (c.program.clone(), c.source.clone()));
-        if hit.is_some() {
-            state.stats.codegen_cached += 1;
-        }
-        hit
-    });
-    let (program, source) = match cached {
-        Some((program, source)) => {
-            drop(dfg_trace::span!(tracer, "codegen.cached", label = label));
-            (program, source)
-        }
-        None => {
-            let program = {
-                let _codegen = dfg_trace::span!(tracer, "streamed.codegen", label = label);
-                let program = fuse(spec)?;
-                ctx.record_compile(&kernel_name)?;
-                program
-            };
-            let source = program.generated_source(&kernel_name);
-            if let Some(state) = session {
-                state.stats.codegen_compiles += 1;
-                state.programs.insert(
-                    program_key(spec, &[spec.result], true),
-                    CachedProgram {
-                        program: program.clone(),
-                        source: source.clone(),
-                    },
-                );
-            }
-            (program, source)
-        }
-    };
+    let (program, source) = cached_program(req, &[spec.result], true, ctx, session)?;
 
     // Bytes per mesh cell resident on the device: each input slot plus the
     // output, in f32 lanes.
@@ -400,41 +363,21 @@ pub(crate) fn run(
             let mut first_start: Option<f64> = None;
             let mut kernel_deps: Vec<EventToken> = Vec::with_capacity(inputs.len() + 1);
             for (input, &buf) in inputs.iter().zip(&ring_inputs[slot]) {
-                let tok = if input.small {
-                    if let Some(stg) = staging.as_mut() {
-                        // Assemble the header in its pinned staging slot and
-                        // upload straight from it — no per-slab Vec.
+                let src = match (input.small, staging.as_mut(), input.data) {
+                    // Assemble the header in its pinned staging slot and
+                    // upload straight from it — no per-slab Vec.
+                    (true, Some(stg), _) => {
                         let header = stg.slot_mut(slab);
                         header[0] = dims3.nx as f32;
                         header[1] = dims3.ny as f32;
                         header[2] = (gz1 - gz0) as f32;
-                        let stg = &*stg;
-                        issue!(
-                            q_h2d,
-                            ctx.enqueue_write_q(q_h2d, buf, stg.slot(slab), &upload_deps)
-                        )?
-                    } else {
-                        issue!(
-                            q_h2d,
-                            ctx.enqueue_write_virtual_q(q_h2d, buf, 3, &upload_deps)
-                        )?
+                        Upload::Data(stg.slot(slab))
                     }
-                } else if let Some(data) = input.data {
-                    issue!(
-                        q_h2d,
-                        ctx.enqueue_write_q(
-                            q_h2d,
-                            buf,
-                            &data[plane * gz0..plane * gz1],
-                            &upload_deps,
-                        )
-                    )?
-                } else {
-                    issue!(
-                        q_h2d,
-                        ctx.enqueue_write_virtual_q(q_h2d, buf, slab_cells, &upload_deps)
-                    )?
+                    (true, None, _) => Upload::Virtual(3),
+                    (false, _, Some(data)) => Upload::Data(&data[plane * gz0..plane * gz1]),
+                    (false, _, None) => Upload::Virtual(slab_cells),
                 };
+                let tok = issue!(q_h2d, ctx.write(q_h2d, buf, src, &upload_deps))?;
                 first_start.get_or_insert(tok.virt_start());
                 kernel_deps.push(tok);
             }
@@ -446,7 +389,7 @@ pub(crate) fn run(
             }
             let k_tok = issue!(
                 q_kexe,
-                ctx.launch_q(
+                ctx.dispatch(
                     q_kexe,
                     &kernel,
                     &ring_inputs[slot],
@@ -461,18 +404,21 @@ pub(crate) fn run(
             // output field's final storage — a ranged read, no temp Vec.
             let src_off = (z0 - gz0) * plane * out_lanes_per_cell;
             let len = (z1 - z0) * plane * out_lanes_per_cell;
-            let d_tok = if let Some(dst) = out_data.as_mut() {
-                let window = &mut dst[z0 * plane * out_lanes_per_cell..][..len];
-                issue!(
+            let mut window = out_data
+                .as_mut()
+                .map(|dst| &mut dst[z0 * plane * out_lanes_per_cell..][..len]);
+            let d_tok = issue!(
+                q_d2h,
+                ctx.read(
                     q_d2h,
-                    ctx.enqueue_read_range_q(q_d2h, ring_out[slot], src_off, window, &[k_tok])
-                )?
-            } else {
-                issue!(
-                    q_d2h,
-                    ctx.enqueue_read_range_virtual_q(q_d2h, ring_out[slot], src_off, len, &[k_tok])
-                )?
-            };
+                    ring_out[slot],
+                    src_off,
+                    window
+                        .as_deref_mut()
+                        .map_or(Download::Virtual(len), Download::Data),
+                    &[k_tok],
+                )
+            )?;
             last_download[slot] = Some(d_tok);
             prev_download = Some(d_tok);
 

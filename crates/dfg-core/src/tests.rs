@@ -916,6 +916,26 @@ mod session {
         assert_eq!(report.profile.count(EventKind::HostToDevice), 1);
     }
 
+    /// Two independently built field sets with the same cell count and
+    /// different data: the session's resident copies of the first set must
+    /// not stand in for the second (their generations never coincide).
+    #[test]
+    fn session_tells_apart_independently_built_sets() {
+        let first = small_rt_fields([8, 4, 4]);
+        let second = small_rt_fields([4, 4, 8]);
+        assert_eq!(first.ncells(), second.ncells());
+        let u = |fields: &FieldSet| fields.get("u").unwrap().data.clone();
+        assert_ne!(u(&first), u(&second), "the sets' data differ");
+        let src = Workload::VelocityMagnitude.source();
+        let mut engine = cpu_engine();
+        let mut session = engine.session();
+        for fields in [&first, &second] {
+            let got = session.derive(src, fields, Strategy::Fusion).unwrap();
+            let want = cpu_engine().derive(src, fields, Strategy::Fusion).unwrap();
+            assert_eq!(got.field.unwrap().data, want.field.unwrap().data);
+        }
+    }
+
     /// Session results are identical to one-shot results for every strategy.
     #[test]
     fn session_results_match_one_shot_per_strategy() {

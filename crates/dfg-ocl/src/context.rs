@@ -1,4 +1,17 @@
-//! The device context: buffer allocator plus profiling command queue.
+//! The device context: buffer allocator plus profiling command queues.
+//!
+//! Every device command is one of three calls, each with one body:
+//! [`Context::write`], [`Context::read`] and [`Context::dispatch`] (a
+//! kernel launch). Each runs on a [`QueueId`] after a list of
+//! [`EventToken`] dependencies, returns its own token, and records its
+//! event through one recorder. The host side of a transfer is an
+//! [`Upload`] or a [`Download`]: real data, or — Model mode only — a lane
+//! count. The default queue is a barrier, so single-queue programs see the
+//! single-queue clock; [`Context::enqueue_write`], [`Context::enqueue_read`]
+//! and [`Context::launch`] are the three calls' whole-buffer, default-queue
+//! forms.
+
+use std::time::{Duration, Instant};
 
 use crate::error::{OclError, TransferDir};
 use crate::event::{Event, EventKind, ProfileReport};
@@ -24,15 +37,15 @@ impl BufferId {
 
 /// Handle to an in-order command queue on a [`Context`].
 ///
-/// Queue 0 is the default queue every legacy (un-suffixed) operation
-/// targets; [`Context::acquire_queues`] hands out auxiliary queues for
-/// overlapped execution. Operations on *different* queues may overlap on
+/// Queue 0 is the default queue, a barrier across all queues;
+/// [`Context::acquire_queues`] hands out auxiliary queues for overlapped
+/// execution. Operations on *different* queues may overlap on
 /// the virtual clock; operations on the *same* queue are strictly ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueueId(usize);
 
 impl QueueId {
-    /// The default in-order queue used by all legacy operations.
+    /// The default in-order queue: every operation on it is a barrier.
     pub const DEFAULT: QueueId = QueueId(0);
 
     /// The queue's index, as it appears in [`Event::queue`](crate::Event).
@@ -64,6 +77,30 @@ impl EventToken {
     pub fn virt_end(self) -> f64 {
         self.t_end
     }
+}
+
+/// Host side of a [`Context::write`]. Its length is the transfer size.
+#[derive(Debug, Clone, Copy)]
+pub enum Upload<'a> {
+    /// Copy these lanes into the buffer, from lane 0. A Model-mode context
+    /// accounts the transfer without storing the data.
+    Data(&'a [f32]),
+    /// Account a write of this many lanes without host data (Model mode
+    /// only).
+    Virtual(usize),
+}
+
+/// Host side of a [`Context::read`]: caller-owned storage the lanes land
+/// in, or only a lane count.
+#[derive(Debug)]
+pub enum Download<'a> {
+    /// Fill this slice; its length is the transfer size.
+    Data(&'a mut [f32]),
+    /// Append every lane from the read offset to the buffer's end.
+    Append(&'a mut Vec<f32>),
+    /// Account a read of this many lanes without host data (Model mode
+    /// only).
+    Virtual(usize),
 }
 
 /// Snapshot of a context's live buffers, taken by [`Context::alloc_mark`]
@@ -217,11 +254,10 @@ pub struct Context {
     in_use: u64,
     high_water: u64,
     /// Global virtual-clock frontier: `max` over all queue clocks; also the
-    /// completion time of the last legacy (queue-0, barrier) operation.
+    /// completion time of the last default-queue (barrier) operation.
     clock: f64,
-    /// Per-queue ready times. Index 0 is the default queue; legacy
-    /// operations act as barriers that bring every queue up to `clock`, so
-    /// single-queue programs are bit-identical to the pre-multi-queue model.
+    /// Per-queue ready times. Index 0 is the default queue, whose
+    /// operations bring every queue up to `clock`.
     queue_clocks: Vec<f64>,
     events: Vec<Event>,
     /// Failure injection: a deterministic, seeded schedule of device faults
@@ -437,9 +473,7 @@ impl Context {
     pub fn advance_clock(&mut self, seconds: f64) {
         if seconds.is_finite() && seconds > 0.0 {
             self.clock += seconds;
-            for q in &mut self.queue_clocks {
-                *q = self.clock;
-            }
+            self.queue_clocks.fill(self.clock);
         }
     }
 
@@ -500,9 +534,7 @@ impl Context {
     pub fn reset_profile(&mut self) {
         self.events.clear();
         self.clock = 0.0;
-        for q in &mut self.queue_clocks {
-            *q = 0.0;
-        }
+        self.queue_clocks.fill(0.0);
         self.high_water = self.in_use;
     }
 
@@ -516,12 +548,13 @@ impl Context {
     /// Allocate a device buffer of `lanes` f32 lanes.
     pub fn create_buffer(&mut self, lanes: usize) -> Result<BufferId, OclError> {
         let bytes = lanes as u64 * 4;
+        let oom = OclError::OutOfMemory {
+            requested: bytes,
+            in_use: self.in_use,
+            capacity: self.profile.global_mem_bytes,
+        };
         if self.fault(FaultKind::Alloc).is_some() {
-            return Err(OclError::OutOfMemory {
-                requested: bytes,
-                in_use: self.in_use,
-                capacity: self.profile.global_mem_bytes,
-            });
+            return Err(oom);
         }
         // Storage is materialized lazily: a fresh buffer carries no `Vec`
         // until the first write/launch, so create-then-write initializes the
@@ -584,11 +617,7 @@ impl Context {
                     self.evict_one_pooled_slot();
                 }
                 if self.in_use + bytes > self.profile.global_mem_bytes {
-                    return Err(OclError::OutOfMemory {
-                        requested: bytes,
-                        in_use: self.in_use,
-                        capacity: self.profile.global_mem_bytes,
-                    });
+                    return Err(oom);
                 }
                 Slot {
                     data: None,
@@ -686,42 +715,26 @@ impl Context {
         before - self.in_use
     }
 
-    /// Record a legacy (default-queue) event. Legacy operations are
-    /// barriers: they start at the global frontier and bring every queue's
-    /// ready time up to their completion, so programs that never touch an
-    /// auxiliary queue see exactly the single-queue virtual clock.
-    fn record(&mut self, kind: EventKind, label: &str, bytes: u64, seconds: f64) {
-        let t_start = self.clock;
-        self.clock += seconds;
-        for q in &mut self.queue_clocks {
-            *q = self.clock;
-        }
-        if let Some(tracer) = &self.tracer {
-            tracer.device_event(
-                &format!("ocl.{}", kind.tag()),
-                label,
-                bytes,
-                t_start,
-                self.clock,
-            );
-        }
-        self.events.push(Event {
-            kind,
-            label: label.to_string(),
-            bytes,
-            t_start,
-            t_end: self.clock,
-            queue: 0,
-        });
+    /// Wall-clock start of an operation's host body, taken only while a
+    /// tracer is attached (untraced runs never read the clock).
+    fn wall_start(&self) -> Option<Instant> {
+        self.tracer.is_some().then(Instant::now)
     }
 
-    /// Record an event on one queue, ordered after that queue's prior work
-    /// and after every dependency in `deps`. Returns the completion token.
+    /// Record one operation on `queue`, ordered after that queue's prior
+    /// work and after every dependency in `deps`, and return its completion
+    /// token. The default queue is a barrier: its operations start at the
+    /// global frontier and bring every queue's ready time up to their end,
+    /// so programs that never touch an auxiliary queue see exactly the
+    /// single-queue virtual clock.
     ///
     /// All timing is computed here, serially, at enqueue time — overlapped
     /// execution is a property of the *model*, so Model and Real mode (and
-    /// any `DFG_NUM_THREADS`) produce bit-identical clocks.
-    fn record_on(
+    /// any `DFG_NUM_THREADS`) produce bit-identical clocks. `wall` is when
+    /// the operation's host body started; the traced span carries the time
+    /// since then.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
         &mut self,
         queue: QueueId,
         kind: EventKind,
@@ -729,22 +742,31 @@ impl Context {
         bytes: u64,
         seconds: f64,
         deps: &[EventToken],
+        wall: Option<Instant>,
     ) -> EventToken {
-        let mut t_start = self
-            .queue_clocks
-            .get(queue.0)
-            .copied()
-            .unwrap_or(self.clock);
-        for dep in deps {
-            t_start = t_start.max(dep.t_end);
-        }
+        let barrier = queue == QueueId::DEFAULT;
+        let ready = if barrier {
+            self.clock
+        } else {
+            self.queue_clock_seconds(queue)
+        };
+        let t_start = deps.iter().fold(ready, |t, dep| t.max(dep.t_end));
         let t_end = t_start + seconds;
-        if let Some(q) = self.queue_clocks.get_mut(queue.0) {
+        if barrier {
+            self.queue_clocks.fill(t_end);
+        } else if let Some(q) = self.queue_clocks.get_mut(queue.0) {
             *q = t_end;
         }
         self.clock = self.clock.max(t_end);
         if let Some(tracer) = &self.tracer {
-            tracer.device_event(&format!("ocl.{}", kind.tag()), label, bytes, t_start, t_end);
+            tracer.device_event(
+                &format!("ocl.{}", kind.tag()),
+                label,
+                bytes,
+                t_start,
+                t_end,
+                wall.map_or(Duration::ZERO, |t| t.elapsed()),
+            );
         }
         self.events.push(Event {
             kind,
@@ -757,387 +779,165 @@ impl Context {
         EventToken { t_start, t_end }
     }
 
-    /// Enqueue a host→device write of real data.
-    pub fn enqueue_write(&mut self, id: BufferId, data: &[f32]) -> Result<(), OclError> {
-        let lanes = self.slot(id)?.lanes;
-        if data.len() != lanes {
+    /// The checks every transfer passes before it moves anything, returning
+    /// the bytes it moves. The host-data rule comes first: a virtual
+    /// transfer carries no data, so it is Model-only in both directions, and
+    /// a Model-mode buffer holds no contents, so real data cannot be read
+    /// out of one (real data written into one is accounted, not stored).
+    /// Then lanes `offset..offset + len` must lie within the buffer's
+    /// `lanes`, and the fault plan gets its draw.
+    fn admit(
+        &mut self,
+        dir: TransferDir,
+        is_virtual: bool,
+        lanes: usize,
+        offset: usize,
+        len: usize,
+    ) -> Result<u64, OclError> {
+        let reading = dir == TransferDir::DeviceToHost;
+        let broken = match self.mode {
+            ExecMode::Real if is_virtual => Some("virtual transfer on a real-mode context"),
+            ExecMode::Model if reading && !is_virtual => Some("cannot read contents in model mode"),
+            _ => None,
+        };
+        if let Some(rule) = broken {
+            return Err(OclError::InvalidOperation(rule.into()));
+        }
+        if offset + len > lanes {
             return Err(OclError::SizeMismatch {
                 expected: lanes,
-                found: data.len(),
+                found: offset + len,
             });
         }
-        let bytes = lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
+        let bytes = len as u64 * 4;
+        match self.fault(FaultKind::Transfer) {
+            Some(transient) => Err(OclError::TransferFailed {
+                direction: dir,
                 bytes,
                 transient,
-            });
+            }),
+            None => Ok(bytes),
         }
-        let seconds = self.profile.h2d_seconds(bytes);
-        if self.mode == ExecMode::Real {
+    }
+
+    /// Enqueue a host→device write of `src` into the first lanes of `id` on
+    /// `queue`, ordered after `deps`.
+    ///
+    /// A write may be shorter than the buffer — an over-sized pooled ring
+    /// buffer receiving a smaller final slab — and bytes and modeled time
+    /// follow the lanes actually moved; into a never-written buffer the
+    /// remaining lanes then read as zeros. Longer writes are a
+    /// [`OclError::SizeMismatch`].
+    pub fn write(
+        &mut self,
+        queue: QueueId,
+        id: BufferId,
+        src: Upload<'_>,
+        deps: &[EventToken],
+    ) -> Result<EventToken, OclError> {
+        let lanes = self.slot(id)?.lanes;
+        let (len, is_virtual) = match src {
+            Upload::Data(data) => (data.len(), false),
+            Upload::Virtual(len) => (len, true),
+        };
+        let bytes = self.admit(TransferDir::HostToDevice, is_virtual, lanes, 0, len)?;
+        let wall = self.wall_start();
+        if let (ExecMode::Real, Upload::Data(data)) = (self.mode, src) {
             let verify = self.verify.enabled();
             let slot = self.slots[id.0].as_mut().expect("validated above");
-            match &mut slot.data {
-                Some(buf) => buf[GUARD_LANES..GUARD_LANES + lanes].copy_from_slice(data),
-                None => {
-                    let mut buf = Slot::alloc_storage(lanes);
-                    buf[GUARD_LANES..GUARD_LANES + lanes].copy_from_slice(data);
-                    slot.data = Some(buf);
-                }
+            let storage = slot.data.get_or_insert_with(|| Slot::alloc_storage(lanes));
+            let payload = &mut storage[GUARD_LANES..GUARD_LANES + lanes];
+            if !slot.written {
+                payload[len..].fill(0.0);
             }
+            payload[..len].copy_from_slice(data);
             slot.written = true;
             // Learn the content checksum at upload time: this is the value
-            // later verifications compare against. Host-side only — no
-            // event, no clock cost.
-            slot.sum = verify.then(|| checksum_f32s(crate::integrity::BUFFER_SUM_SEED, data));
-        }
-        self.record(EventKind::HostToDevice, "write", bytes, seconds);
-        Ok(())
-    }
-
-    /// Enqueue a host→device write without host data (model mode: the event
-    /// and clock advance exactly as [`Context::enqueue_write`] would).
-    pub fn enqueue_write_virtual(&mut self, id: BufferId) -> Result<(), OclError> {
-        if self.mode == ExecMode::Real {
-            return Err(OclError::InvalidOperation(
-                "virtual write on a real-mode context".into(),
-            ));
-        }
-        let bytes = self.slot(id)?.lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
+            // later verifications compare against. It covers the whole
+            // payload (a short write's tail included), so verification stays
+            // whole-buffer. Host-side only — no event, no clock cost.
+            slot.sum = verify.then(|| checksum_f32s(crate::integrity::BUFFER_SUM_SEED, payload));
         }
         let seconds = self.profile.h2d_seconds(bytes);
-        self.record(EventKind::HostToDevice, "write", bytes, seconds);
-        Ok(())
+        Ok(self.record(
+            queue,
+            EventKind::HostToDevice,
+            "write",
+            bytes,
+            seconds,
+            deps,
+            wall,
+        ))
     }
 
-    /// Enqueue a device→host read, returning the buffer contents. A buffer
-    /// that was never written (by host or kernel) reads as zeros.
-    pub fn enqueue_read(&mut self, id: BufferId) -> Result<Vec<f32>, OclError> {
-        if self.mode == ExecMode::Model {
-            self.slot(id)?;
-            return Err(OclError::InvalidOperation(
-                "cannot read contents in model mode; use enqueue_read_virtual".into(),
-            ));
-        }
-        let slot = self.slot(id)?;
-        let bytes = slot.lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        // Full verification: revalidate before handing the bits to the
-        // host, so a silent flip never escapes into downstream results.
-        if self.verify == VerifyPolicy::Full {
-            self.verify_buffer(id)?;
-        }
-        let slot = self.slot(id)?;
-        let data = if slot.written {
-            slot.payload()
-                .expect("written implies materialized")
-                .to_vec()
-        } else {
-            vec![0.0f32; slot.lanes]
+    /// Enqueue a device→host read of lanes `offset..` of `id` into `dst` on
+    /// `queue`, ordered after `deps`.
+    ///
+    /// The bits land directly in the caller's storage — no intermediate
+    /// `Vec` — so a download can target a window of the assembled output
+    /// field. A never-written range reads as zeros. Under
+    /// [`VerifyPolicy::Full`] the buffer is revalidated first, so a silent
+    /// flip never escapes into downstream results.
+    pub fn read(
+        &mut self,
+        queue: QueueId,
+        id: BufferId,
+        offset: usize,
+        dst: Download<'_>,
+        deps: &[EventToken],
+    ) -> Result<EventToken, OclError> {
+        let lanes = self.slot(id)?.lanes;
+        let (len, is_virtual) = match &dst {
+            Download::Data(d) => (d.len(), false),
+            Download::Append(_) => (lanes.saturating_sub(offset), false),
+            Download::Virtual(len) => (*len, true),
         };
-        let seconds = self.profile.d2h_seconds(bytes);
-        self.record(EventKind::DeviceToHost, "read", bytes, seconds);
-        Ok(data)
-    }
-
-    /// Enqueue a device→host read without materializing data (model mode).
-    pub fn enqueue_read_virtual(&mut self, id: BufferId) -> Result<(), OclError> {
-        let bytes = self.slot(id)?.lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.d2h_seconds(bytes);
-        self.record(EventKind::DeviceToHost, "read", bytes, seconds);
-        Ok(())
-    }
-
-    /// Enqueue a host→device write of real data on `queue`, ordered after
-    /// `deps`. Unlike [`Context::enqueue_write`] this allows a *prefix*
-    /// write — `data.len() ≤ lanes` — so an over-sized pooled ring buffer
-    /// can receive a smaller final slab; bytes and modeled time follow the
-    /// data actually moved. On a prefix write into a never-written buffer
-    /// the remaining lanes read as zeros.
-    pub fn enqueue_write_q(
-        &mut self,
-        queue: QueueId,
-        id: BufferId,
-        data: &[f32],
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        let lanes = self.slot(id)?.lanes;
-        if data.len() > lanes {
-            return Err(OclError::SizeMismatch {
-                expected: lanes,
-                found: data.len(),
-            });
-        }
-        let bytes = data.len() as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.h2d_seconds(bytes);
-        if self.mode == ExecMode::Real {
-            let verify = self.verify.enabled();
-            let slot = self.slots[id.0].as_mut().expect("validated above");
-            match &mut slot.data {
-                Some(buf) => {
-                    if !slot.written {
-                        buf[GUARD_LANES + data.len()..GUARD_LANES + lanes].fill(0.0);
-                    }
-                    buf[GUARD_LANES..GUARD_LANES + data.len()].copy_from_slice(data);
-                }
-                None => {
-                    let mut buf = Slot::alloc_storage(lanes);
-                    buf[GUARD_LANES..GUARD_LANES + data.len()].copy_from_slice(data);
-                    slot.data = Some(buf);
-                }
-            }
-            slot.written = true;
-            // The sum covers the whole payload (prefix plus whatever tail
-            // the write left behind), so verification stays whole-buffer.
-            slot.sum = if verify {
-                Some(checksum_f32s(
-                    crate::integrity::BUFFER_SUM_SEED,
-                    slot.payload().expect("just materialized"),
-                ))
-            } else {
-                None
-            };
-        }
-        Ok(self.record_on(
-            queue,
-            EventKind::HostToDevice,
-            "write",
-            bytes,
-            seconds,
-            deps,
-        ))
-    }
-
-    /// Model-mode counterpart of [`Context::enqueue_write_q`]: records the
-    /// event for a prefix write of `lanes` lanes without host data.
-    pub fn enqueue_write_virtual_q(
-        &mut self,
-        queue: QueueId,
-        id: BufferId,
-        lanes: usize,
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        if self.mode == ExecMode::Real {
-            return Err(OclError::InvalidOperation(
-                "virtual write on a real-mode context".into(),
-            ));
-        }
-        let cap = self.slot(id)?.lanes;
-        if lanes > cap {
-            return Err(OclError::SizeMismatch {
-                expected: cap,
-                found: lanes,
-            });
-        }
-        let bytes = lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::HostToDevice,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.h2d_seconds(bytes);
-        Ok(self.record_on(
-            queue,
-            EventKind::HostToDevice,
-            "write",
-            bytes,
-            seconds,
-            deps,
-        ))
-    }
-
-    /// Enqueue a device→host read of `dst.len()` lanes starting at lane
-    /// `offset`, on `queue`, ordered after `deps`, copying directly into
-    /// `dst` — the zero-copy download path: the caller hands the final
-    /// destination slice (e.g. a window of the assembled output field) and
-    /// no intermediate `Vec` is allocated. A never-written range reads as
-    /// zeros.
-    pub fn enqueue_read_range_q(
-        &mut self,
-        queue: QueueId,
-        id: BufferId,
-        offset: usize,
-        dst: &mut [f32],
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        if self.mode == ExecMode::Model {
-            self.slot(id)?;
-            return Err(OclError::InvalidOperation(
-                "cannot read contents in model mode; use enqueue_read_range_virtual_q".into(),
-            ));
-        }
-        let lanes = self.slot(id)?.lanes;
-        if offset + dst.len() > lanes {
-            return Err(OclError::SizeMismatch {
-                expected: lanes,
-                found: offset + dst.len(),
-            });
-        }
-        let bytes = dst.len() as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        // Full verification: revalidate before the range is copied out.
+        let bytes = self.admit(TransferDir::DeviceToHost, is_virtual, lanes, offset, len)?;
+        let wall = self.wall_start();
         if self.verify == VerifyPolicy::Full {
             self.verify_buffer(id)?;
         }
         let slot = self.slot(id)?;
-        if slot.written {
-            let src = slot.payload().expect("written implies materialized");
-            dst.copy_from_slice(&src[offset..offset + dst.len()]);
-        } else {
-            dst.fill(0.0);
+        let src = slot
+            .written
+            .then(|| &slot.payload().expect("written implies materialized")[offset..offset + len]);
+        match (dst, src) {
+            (Download::Data(d), Some(s)) => d.copy_from_slice(s),
+            (Download::Data(d), None) => d.fill(0.0),
+            (Download::Append(v), Some(s)) => v.extend_from_slice(s),
+            (Download::Append(v), None) => v.resize(v.len() + len, 0.0),
+            (Download::Virtual(_), _) => {}
         }
         let seconds = self.profile.d2h_seconds(bytes);
-        Ok(self.record_on(queue, EventKind::DeviceToHost, "read", bytes, seconds, deps))
-    }
-
-    /// Model-mode counterpart of [`Context::enqueue_read_range_q`]: records
-    /// the event for a `lanes`-lane read at `offset` without materializing
-    /// data.
-    pub fn enqueue_read_range_virtual_q(
-        &mut self,
-        queue: QueueId,
-        id: BufferId,
-        offset: usize,
-        lanes: usize,
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        let cap = self.slot(id)?.lanes;
-        if offset + lanes > cap {
-            return Err(OclError::SizeMismatch {
-                expected: cap,
-                found: offset + lanes,
-            });
-        }
-        let bytes = lanes as u64 * 4;
-        if let Some(transient) = self.fault(FaultKind::Transfer) {
-            return Err(OclError::TransferFailed {
-                direction: TransferDir::DeviceToHost,
-                bytes,
-                transient,
-            });
-        }
-        let seconds = self.profile.d2h_seconds(bytes);
-        Ok(self.record_on(queue, EventKind::DeviceToHost, "read", bytes, seconds, deps))
-    }
-
-    /// Record a kernel compilation event (fusion's dynamic kernel
-    /// generation). Excluded from device runtime totals by category.
-    /// Fails if the fault plan injects a compiler fault.
-    pub fn record_compile(&mut self, name: &str) -> Result<(), OclError> {
-        if let Some(transient) = self.fault(FaultKind::Compile) {
-            return Err(OclError::CompileFailed {
-                kernel: name.to_string(),
-                transient,
-            });
-        }
-        let seconds = self.profile.compile_s;
-        self.record(EventKind::KernelCompile, name, 0, seconds);
-        Ok(())
-    }
-
-    /// Launch a kernel over `n` elements.
-    ///
-    /// In real mode the kernel body executes on the host's cores; in model
-    /// mode only the cost model runs. The output buffer must not alias any
-    /// input.
-    pub fn launch(
-        &mut self,
-        kernel: &dyn DeviceKernel,
-        inputs: &[BufferId],
-        output: BufferId,
-        n: usize,
-    ) -> Result<(), OclError> {
-        self.validate_and_run(kernel, inputs, output, n)?;
-        let cost = kernel.cost(n);
-        let seconds = self
-            .profile
-            .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
-        self.record(
-            EventKind::KernelExec,
-            &kernel.name(),
-            cost.bytes_read + cost.bytes_written,
-            seconds,
-        );
-        Ok(())
-    }
-
-    /// Launch a kernel over `n` elements on `queue`, ordered after `deps`.
-    ///
-    /// Identical to [`Context::launch`] except for queue placement: the
-    /// body (real mode) executes at enqueue time on the host, while the
-    /// modeled execution interval is placed after the queue's prior work
-    /// and every dependency. The caller is responsible for passing the
-    /// tokens of the uploads/downloads the launch actually depends on —
-    /// exactly the discipline real out-of-order queues require.
-    pub fn launch_q(
-        &mut self,
-        queue: QueueId,
-        kernel: &dyn DeviceKernel,
-        inputs: &[BufferId],
-        output: BufferId,
-        n: usize,
-        deps: &[EventToken],
-    ) -> Result<EventToken, OclError> {
-        self.validate_and_run(kernel, inputs, output, n)?;
-        let cost = kernel.cost(n);
-        let seconds = self
-            .profile
-            .kernel_seconds(cost.bytes_read + cost.bytes_written, cost.flops);
-        Ok(self.record_on(
+        Ok(self.record(
             queue,
-            EventKind::KernelExec,
-            &kernel.name(),
-            cost.bytes_read + cost.bytes_written,
+            EventKind::DeviceToHost,
+            "read",
+            bytes,
             seconds,
             deps,
+            wall,
         ))
     }
 
-    /// Shared body of [`Context::launch`]/[`Context::launch_q`]: validate
-    /// ids and aliasing, consult the fault plan, and (real mode) execute
-    /// the kernel. Records no event.
-    fn validate_and_run(
+    /// Launch `kernel` over `n` elements on `queue`, ordered after `deps`.
+    ///
+    /// In real mode the body executes on the host's cores at enqueue time;
+    /// in model mode only the cost model runs. Either way the modeled
+    /// interval is placed after the queue's prior work and every
+    /// dependency — the caller passes the tokens of the transfers the
+    /// launch actually depends on, exactly the discipline real
+    /// out-of-order queues require. The output buffer must not alias any
+    /// input.
+    pub fn dispatch(
         &mut self,
+        queue: QueueId,
         kernel: &dyn DeviceKernel,
         inputs: &[BufferId],
         output: BufferId,
         n: usize,
-    ) -> Result<(), OclError> {
+        deps: &[EventToken],
+    ) -> Result<EventToken, OclError> {
         if inputs.contains(&output) {
             return Err(OclError::OutputAliasesInput {
                 kernel: kernel.name(),
@@ -1163,6 +963,7 @@ impl Context {
         if self.fault(FaultKind::MemFlip).is_some() {
             self.flip_one_bit(inputs);
         }
+        let wall = self.wall_start();
         // Full verification: revalidate every sum-bearing input before the
         // kernel consumes its bits.
         if self.verify == VerifyPolicy::Full {
@@ -1183,14 +984,12 @@ impl Context {
                         None => slot.data = Some(Slot::alloc_storage(slot.lanes)),
                     }
                     slot.written = true;
-                    slot.sum = if full {
-                        Some(checksum_f32s(
+                    slot.sum = full.then(|| {
+                        checksum_f32s(
                             crate::integrity::BUFFER_SUM_SEED,
                             slot.payload().expect("just materialized"),
-                        ))
-                    } else {
-                        None
-                    };
+                        )
+                    });
                 }
             }
             // Temporarily take the output storage to satisfy the borrow
@@ -1224,19 +1023,85 @@ impl Context {
             // Learn the output's checksum under Full (so downstream uses of
             // this kernel's result are verifiable); cheaper levels leave it
             // unlearned rather than pay a pass per launch.
-            let sum = if self.verify == VerifyPolicy::Full {
-                Some(checksum_f32s(
+            let sum = full.then(|| {
+                checksum_f32s(
                     crate::integrity::BUFFER_SUM_SEED,
                     &out_data[GUARD_LANES..GUARD_LANES + out_lanes],
-                ))
-            } else {
-                None
-            };
+                )
+            });
             let out_slot = self.slots[output.0].as_mut().expect("validated");
             out_slot.data = Some(out_data);
             out_slot.written = true;
             out_slot.sum = sum;
         }
+        let cost = kernel.cost(n);
+        let bytes = cost.bytes_read + cost.bytes_written;
+        let seconds = self.profile.kernel_seconds(bytes, cost.flops);
+        Ok(self.record(
+            queue,
+            EventKind::KernelExec,
+            &kernel.name(),
+            bytes,
+            seconds,
+            deps,
+            wall,
+        ))
+    }
+
+    /// [`Context::write`] of a whole buffer on the default queue: `data`
+    /// must be exactly the buffer's length.
+    pub fn enqueue_write(&mut self, id: BufferId, data: &[f32]) -> Result<(), OclError> {
+        let lanes = self.slot(id)?.lanes;
+        if data.len() != lanes {
+            return Err(OclError::SizeMismatch {
+                expected: lanes,
+                found: data.len(),
+            });
+        }
+        self.write(QueueId::DEFAULT, id, Upload::Data(data), &[])
+            .map(drop)
+    }
+
+    /// [`Context::read`] of a whole buffer on the default queue, into a new
+    /// vector.
+    pub fn enqueue_read(&mut self, id: BufferId) -> Result<Vec<f32>, OclError> {
+        let mut out = Vec::new();
+        self.read(QueueId::DEFAULT, id, 0, Download::Append(&mut out), &[])
+            .map(|_| out)
+    }
+
+    /// [`Context::dispatch`] on the default queue.
+    pub fn launch(
+        &mut self,
+        kernel: &dyn DeviceKernel,
+        inputs: &[BufferId],
+        output: BufferId,
+        n: usize,
+    ) -> Result<(), OclError> {
+        self.dispatch(QueueId::DEFAULT, kernel, inputs, output, n, &[])
+            .map(drop)
+    }
+
+    /// Record a kernel compilation event (fusion's dynamic kernel
+    /// generation). Excluded from device runtime totals by category.
+    /// Fails if the fault plan injects a compiler fault.
+    pub fn record_compile(&mut self, name: &str) -> Result<(), OclError> {
+        if let Some(transient) = self.fault(FaultKind::Compile) {
+            return Err(OclError::CompileFailed {
+                kernel: name.to_string(),
+                transient,
+            });
+        }
+        let seconds = self.profile.compile_s;
+        self.record(
+            QueueId::DEFAULT,
+            EventKind::KernelCompile,
+            name,
+            0,
+            seconds,
+            &[],
+            None,
+        );
         Ok(())
     }
 
@@ -1270,24 +1135,6 @@ impl Context {
         let bit = (b % 32) as u32;
         let payload = slot.payload_mut().expect("filtered materialized");
         payload[lane] = f32::from_bits(payload[lane].to_bits() ^ (1u32 << bit));
-    }
-
-    /// Copy out a buffer's contents without recording a transfer event
-    /// (testing/diagnostic aid; not part of the modeled protocol). Like
-    /// [`Context::enqueue_read`], a never-written buffer peeks as zeros.
-    pub fn peek(&self, id: BufferId) -> Result<Vec<f32>, OclError> {
-        if self.mode == ExecMode::Model {
-            self.slot(id)?;
-            return Err(OclError::InvalidOperation("peek in model mode".into()));
-        }
-        let slot = self.slot(id)?;
-        Ok(if slot.written {
-            slot.payload()
-                .expect("written implies materialized")
-                .to_vec()
-        } else {
-            vec![0.0f32; slot.lanes]
-        })
     }
 
     /// Revalidate a buffer's integrity: guard zones intact and, when a
@@ -1521,12 +1368,14 @@ mod tests {
             let b = c.create_buffer(1024).unwrap();
             match mode {
                 ExecMode::Real => c.enqueue_write(a, &[0.5; 1024]).unwrap(),
-                ExecMode::Model => c.enqueue_write_virtual(a).unwrap(),
+                ExecMode::Model => drop(c.write(QueueId::DEFAULT, a, Upload::Virtual(1024), &[])),
             }
             c.launch(&Double, &[a], b, 1024).unwrap();
             match mode {
                 ExecMode::Real => drop(c.enqueue_read(b).unwrap()),
-                ExecMode::Model => c.enqueue_read_virtual(b).unwrap(),
+                ExecMode::Model => {
+                    drop(c.read(QueueId::DEFAULT, b, 0, Download::Virtual(1024), &[]))
+                }
             }
             let r = c.report();
             (c.clock_seconds(), r.table2_row(), r.high_water_bytes)
@@ -1546,14 +1395,25 @@ mod tests {
             c.enqueue_read(a),
             Err(OclError::InvalidOperation(_))
         ));
-        assert!(matches!(c.peek(a), Err(OclError::InvalidOperation(_))));
+        let mut dst = [0.0f32; 4];
+        assert!(matches!(
+            c.read(QueueId::DEFAULT, a, 0, Download::Data(&mut dst), &[]),
+            Err(OclError::InvalidOperation(_))
+        ));
     }
 
     #[test]
     fn real_mode_rejects_virtual_writes() {
         let mut c = ctx();
         let a = c.create_buffer(4).unwrap();
-        assert!(c.enqueue_write_virtual(a).is_err());
+        let q = QueueId::DEFAULT;
+        for result in [
+            c.write(q, a, Upload::Virtual(4), &[]),
+            c.read(q, a, 0, Download::Virtual(4), &[]),
+        ] {
+            assert!(matches!(result, Err(OclError::InvalidOperation(_))));
+        }
+        assert!(c.report().events.is_empty(), "rejected before recording");
     }
 
     #[test]
@@ -1576,7 +1436,10 @@ mod tests {
     fn fresh_never_written_buffer_reads_as_zeros() {
         let mut c = ctx();
         let a = c.create_buffer(16).unwrap();
-        assert_eq!(c.peek(a).unwrap(), vec![0.0; 16]);
+        let mut dst = vec![7.0f32; 16];
+        c.read(QueueId::DEFAULT, a, 0, Download::Data(&mut dst), &[])
+            .unwrap();
+        assert_eq!(dst, vec![0.0; 16]);
         assert_eq!(c.enqueue_read(a).unwrap(), vec![0.0; 16]);
         // Unwritten kernel inputs also read as zeros inside the kernel.
         let b = c.create_buffer(16).unwrap();
@@ -1668,12 +1531,16 @@ mod tests {
                 let b = c.create_buffer(512).unwrap();
                 match mode {
                     ExecMode::Real => c.enqueue_write(a, &[0.5; 512]).unwrap(),
-                    ExecMode::Model => c.enqueue_write_virtual(a).unwrap(),
+                    ExecMode::Model => {
+                        drop(c.write(QueueId::DEFAULT, a, Upload::Virtual(512), &[]))
+                    }
                 }
                 c.launch(&Double, &[a], b, 512).unwrap();
                 match mode {
                     ExecMode::Real => drop(c.enqueue_read(b).unwrap()),
-                    ExecMode::Model => c.enqueue_read_virtual(b).unwrap(),
+                    ExecMode::Model => {
+                        drop(c.read(QueueId::DEFAULT, b, 0, Download::Virtual(512), &[]))
+                    }
                 }
                 c.release(a).unwrap();
                 c.release(b).unwrap();
@@ -1707,8 +1574,8 @@ mod tests {
         let b = c.create_buffer(1 << 16).unwrap();
         let data = vec![1.0f32; 1 << 16];
         // Two independent uploads on different queues: same start time.
-        let ta = c.enqueue_write_q(qs[0], a, &data, &[]).unwrap();
-        let tb = c.enqueue_write_q(qs[1], b, &data, &[]).unwrap();
+        let ta = c.write(qs[0], a, Upload::Data(&data), &[]).unwrap();
+        let tb = c.write(qs[1], b, Upload::Data(&data), &[]).unwrap();
         assert_eq!(ta.virt_start().to_bits(), tb.virt_start().to_bits());
         assert_eq!(ta.virt_end().to_bits(), tb.virt_end().to_bits());
         let r = c.report();
@@ -1725,16 +1592,16 @@ mod tests {
         let qs = c.acquire_queues(2);
         let a = c.create_buffer(64).unwrap();
         let b = c.create_buffer(64).unwrap();
-        let up = c.enqueue_write_q(qs[0], a, &[3.0; 64], &[]).unwrap();
+        let up = c.write(qs[0], a, Upload::Data(&[3.0; 64]), &[]).unwrap();
         // Kernel on another queue must wait for the upload.
-        let k = c.launch_q(qs[1], &Double, &[a], b, 64, &[up]).unwrap();
+        let k = c.dispatch(qs[1], &Double, &[a], b, 64, &[up]).unwrap();
         assert!(k.virt_start() >= up.virt_end());
         assert_eq!(k.virt_start().to_bits(), up.virt_end().to_bits());
         // Download of the result waits for the kernel, reads a range
         // directly into the destination slice.
         let mut out = vec![0.0f32; 32];
         let d = c
-            .enqueue_read_range_q(qs[0], b, 16, &mut out, &[k])
+            .read(qs[0], b, 16, Download::Data(&mut out), &[k])
             .unwrap();
         assert_eq!(d.virt_start().to_bits(), k.virt_end().to_bits());
         assert_eq!(out, vec![6.0; 32]);
@@ -1745,14 +1612,14 @@ mod tests {
         let mut c = ctx();
         let qs = c.acquire_queues(1);
         let a = c.create_buffer(64).unwrap();
-        let t = c.enqueue_write_q(qs[0], a, &[1.0; 64], &[]).unwrap();
+        let t = c.write(qs[0], a, Upload::Data(&[1.0; 64]), &[]).unwrap();
         // A legacy (default-queue) op starts at the global frontier …
         let b = c.create_buffer(64).unwrap();
         c.enqueue_write(b, &[2.0; 64]).unwrap();
         let legacy_end = c.clock_seconds();
         assert!(legacy_end > t.virt_end());
         // … and the auxiliary queue cannot start before it finished.
-        let t2 = c.enqueue_write_q(qs[0], a, &[3.0; 64], &[]).unwrap();
+        let t2 = c.write(qs[0], a, Upload::Data(&[3.0; 64]), &[]).unwrap();
         assert_eq!(t2.virt_start().to_bits(), legacy_end.to_bits());
     }
 
@@ -1761,22 +1628,22 @@ mod tests {
         let mut c = ctx();
         let qs = c.acquire_queues(1);
         let a = c.create_buffer(8).unwrap();
-        c.enqueue_write_q(qs[0], a, &[5.0; 3], &[]).unwrap();
+        c.write(qs[0], a, Upload::Data(&[5.0; 3]), &[]).unwrap();
+        let r = c.report();
         assert_eq!(
-            c.peek(a).unwrap(),
+            c.enqueue_read(a).unwrap(),
             vec![5.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         );
-        let r = c.report();
         assert_eq!(r.bytes(EventKind::HostToDevice), 12, "3 lanes moved");
         // Over-long writes are rejected.
         assert!(matches!(
-            c.enqueue_write_q(qs[0], a, &[0.0; 9], &[]),
+            c.write(qs[0], a, Upload::Data(&[0.0; 9]), &[]),
             Err(OclError::SizeMismatch { .. })
         ));
         // Out-of-bounds range reads are rejected.
         let mut dst = vec![0.0f32; 4];
         assert!(matches!(
-            c.enqueue_read_range_q(qs[0], a, 6, &mut dst, &[]),
+            c.read(qs[0], a, 6, Download::Data(&mut dst), &[]),
             Err(OclError::SizeMismatch { .. })
         ));
     }
@@ -1788,24 +1655,21 @@ mod tests {
             let qs = c.acquire_queues(3);
             let a = c.create_buffer(4096).unwrap();
             let b = c.create_buffer(4096).unwrap();
+            let data = vec![1.0f32; 2048];
             let mut host = vec![0.0f32; 2048];
             let mut deps: Vec<EventToken> = Vec::new();
             for slab in 0..4 {
-                let up = match mode {
-                    ExecMode::Real => c
-                        .enqueue_write_q(qs[0], a, &vec![1.0; 2048], &deps)
-                        .unwrap(),
-                    ExecMode::Model => c.enqueue_write_virtual_q(qs[0], a, 2048, &deps).unwrap(),
+                let src = match mode {
+                    ExecMode::Real => Upload::Data(&data),
+                    ExecMode::Model => Upload::Virtual(2048),
                 };
-                let k = c.launch_q(qs[1], &Double, &[a], b, 2048, &[up]).unwrap();
-                let down = match mode {
-                    ExecMode::Real => c
-                        .enqueue_read_range_q(qs[2], b, slab % 2, &mut host, &[k])
-                        .unwrap(),
-                    ExecMode::Model => c
-                        .enqueue_read_range_virtual_q(qs[2], b, slab % 2, 2048, &[k])
-                        .unwrap(),
+                let up = c.write(qs[0], a, src, &deps).unwrap();
+                let k = c.dispatch(qs[1], &Double, &[a], b, 2048, &[up]).unwrap();
+                let dst = match mode {
+                    ExecMode::Real => Download::Data(&mut host),
+                    ExecMode::Model => Download::Virtual(2048),
                 };
+                let down = c.read(qs[2], b, slab % 2, dst, &[k]).unwrap();
                 deps = vec![down];
             }
             let stamps = c
@@ -1827,18 +1691,18 @@ mod tests {
         let mut c = ctx();
         let qs = c.acquire_queues(2);
         let a = c.create_buffer(64).unwrap();
-        c.enqueue_write_q(qs[1], a, &[1.0; 64], &[]).unwrap();
+        c.write(qs[1], a, Upload::Data(&[1.0; 64]), &[]).unwrap();
         // Re-acquiring rebases the (now trailing) first queue to the
         // frontier set by the second queue's upload.
         let frontier = c.clock_seconds();
         let qs2 = c.acquire_queues(2);
         assert_eq!(qs, qs2, "same ids are reused");
-        let t = c.enqueue_write_q(qs2[0], a, &[2.0; 64], &[]).unwrap();
+        let t = c.write(qs2[0], a, Upload::Data(&[2.0; 64]), &[]).unwrap();
         assert_eq!(t.virt_start().to_bits(), frontier.to_bits());
         assert!(t.virt_start() > 0.0);
         // reset_profile zeroes every queue clock.
         c.reset_profile();
-        let t0 = c.enqueue_write_q(qs2[1], a, &[3.0; 64], &[]).unwrap();
+        let t0 = c.write(qs2[1], a, Upload::Data(&[3.0; 64]), &[]).unwrap();
         assert_eq!(t0.virt_start().to_bits(), 0f64.to_bits());
         // advance_queue moves one queue and the global frontier.
         c.advance_queue(qs2[1], 1.0);
@@ -1855,14 +1719,14 @@ mod tests {
         let qs = c.acquire_queues(1);
         let a = c.create_buffer(64).unwrap();
         let before = c.clock_seconds();
-        match c.enqueue_write_q(qs[0], a, &[1.0; 64], &[]) {
+        match c.write(qs[0], a, Upload::Data(&[1.0; 64]), &[]) {
             Err(OclError::TransferFailed { transient, .. }) => assert!(transient),
             other => panic!("expected transfer fault, got {other:?}"),
         }
         assert_eq!(c.report().events.len(), 0);
         assert_eq!(c.clock_seconds().to_bits(), before.to_bits());
         // The retried op succeeds and starts where the queue left off.
-        let t = c.enqueue_write_q(qs[0], a, &[1.0; 64], &[]).unwrap();
+        let t = c.write(qs[0], a, Upload::Data(&[1.0; 64]), &[]).unwrap();
         assert_eq!(t.virt_start().to_bits(), before.to_bits());
     }
 }
@@ -1992,7 +1856,7 @@ mod fault_injection_tests {
         assert_eq!(reclaimed, 64);
         assert_eq!(c.in_use_bytes(), mark.in_use_bytes());
         // The marked buffer survives with its contents intact.
-        assert_eq!(c.peek(keep).unwrap(), vec![7.0; 16]);
+        assert_eq!(c.enqueue_read(keep).unwrap(), vec![7.0; 16]);
         // Rollback is idempotent.
         assert_eq!(c.rollback(&mark), 0);
     }
@@ -2085,7 +1949,7 @@ mod integrity_tests {
             other => panic!("expected guard violation, got {other:?}"),
         }
         // The payload itself is untouched by the guard overwrite.
-        assert_eq!(c.peek(a).unwrap(), vec![2.0; 8]);
+        assert_eq!(c.enqueue_read(a).unwrap(), vec![2.0; 8]);
     }
 
     #[test]
@@ -2207,7 +2071,8 @@ mod integrity_tests {
         m.set_fault_plan(plan.clone());
         let a = m.create_buffer(8).unwrap();
         let b = m.create_buffer(8).unwrap();
-        m.enqueue_write_virtual(a).unwrap();
+        m.write(QueueId::DEFAULT, a, Upload::Virtual(8), &[])
+            .unwrap();
         m.launch(&Double, &[a], b, 8).unwrap();
         assert_eq!(plan.ops_seen(FaultKind::MemFlip), 1, "counter parity");
     }

@@ -111,7 +111,7 @@ pub enum FaultKind {
     Alloc,
     /// Host↔device transfers (`enqueue_write*` / `enqueue_read*`).
     Transfer,
-    /// Kernel launches (`launch` / `launch_q`).
+    /// Kernel launches (`dispatch`, and its default-queue form `launch`).
     Launch,
     /// Kernel compilations (`record_compile`).
     Compile,

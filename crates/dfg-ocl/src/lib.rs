@@ -52,7 +52,8 @@ mod profile;
 mod staging;
 
 pub use context::{
-    AllocMark, BufferId, Context, DeviceKernel, EventToken, KernelArgs, KernelCost, QueueId,
+    AllocMark, BufferId, Context, DeviceKernel, Download, EventToken, KernelArgs, KernelCost,
+    QueueId, Upload,
 };
 pub use error::{OclError, TransferDir};
 pub use event::{Event, EventKind, ProfileReport};

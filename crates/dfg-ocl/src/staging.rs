@@ -14,7 +14,7 @@
 
 /// A ring of reusable host staging buffers, indexed by slab number.
 ///
-/// Reuse safety: the simulated `enqueue_write_q` copies (or accounts) its
+/// Reuse safety: the simulated [`Context::write`](crate::Context::write) copies (or accounts) its
 /// source at enqueue time, so a slot may be refilled as soon as the
 /// previous occupant's upload has been *issued*; no host-side fence is
 /// needed. On real hardware the refill of slot `n % depth` must wait for

@@ -67,6 +67,29 @@ fn concurrent_tenants_match_sequential_single_tenant_bits() {
 }
 
 #[test]
+fn tenant_moving_between_same_size_grids_gets_each_grids_result() {
+    // Both grids hold 1024 cells, so the tenant's session keeps its resident
+    // `u` and `v` buffers across the move; only the fields' generations
+    // tell the two grids' data apart.
+    let expr = "p = u*v";
+    let grids = [[8, 8, 16], [16, 8, 8]];
+    let want: Vec<Vec<u32>> = grids.iter().map(|&g| local_bits(expr, g)).collect();
+    assert_ne!(want[0], want[1], "the grids' fields differ");
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    for (grid, want) in grids.into_iter().zip(&want) {
+        let reply = client
+            .derive("mover", expr, grid, ExecStrategy::Fusion, true)
+            .unwrap();
+        let checksum: f64 = want.iter().map(|&b| f32::from_bits(b) as f64).sum();
+        assert_eq!(reply.checksum, checksum, "grid {grid:?}");
+        assert_eq!(reply.data_bits.as_deref(), Some(&want[..]), "grid {grid:?}");
+    }
+    server.shutdown();
+    server.join().unwrap();
+}
+
+#[test]
 fn coalescing_reduces_compiles_and_preserves_bits() {
     let run = |coalesce: bool| {
         let config = ServeConfig {

@@ -225,9 +225,10 @@ mod tests {
             let _root = span!(tracer, "derive", expr = "mag = sqrt(u*u)");
             {
                 let _exec = span!(tracer, "execute.staged");
-                tracer.device_event("ocl.h2d", "u", 4096, 0.0, 0.001);
-                tracer.device_event("ocl.kernel", "mul", 0, 0.001, 0.003);
-                tracer.device_event("ocl.h2d", "v", 4096, 0.003, 0.004);
+                let wall = std::time::Duration::ZERO;
+                tracer.device_event("ocl.h2d", "u", 4096, 0.0, 0.001, wall);
+                tracer.device_event("ocl.kernel", "mul", 0, 0.001, 0.003, wall);
+                tracer.device_event("ocl.h2d", "v", 4096, 0.003, 0.004, wall);
             }
         }
         tracer.snapshot()

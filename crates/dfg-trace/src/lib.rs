@@ -30,7 +30,7 @@
 //! ```
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub mod export;
 pub mod json;
@@ -197,7 +197,8 @@ impl Tracer {
 
     /// Record a completed device event as a child of the currently open
     /// span: a leaf with explicit virtual-clock endpoints (used by the
-    /// device layer, whose events carry model timestamps).
+    /// device layer, whose events carry model timestamps) that ends now and
+    /// spans `wall` of host time — the operation's host body.
     pub fn device_event(
         &self,
         name: &str,
@@ -205,9 +206,11 @@ impl Tracer {
         bytes: u64,
         virt_start: f64,
         virt_end: f64,
+        wall: Duration,
     ) {
         let mut inner = self.inner.lock().expect("tracer lock");
         let now = inner.epoch.elapsed().as_nanos() as u64;
+        let wall_start_ns = now.saturating_sub(wall.as_nanos() as u64);
         let parent = inner.stack.last().copied();
         let depth = inner.stack.len();
         let mut meta = vec![("label".to_string(), MetaValue::Str(label.to_string()))];
@@ -219,7 +222,7 @@ impl Tracer {
             parent,
             depth,
             track: 0,
-            wall_start_ns: now,
+            wall_start_ns,
             wall_end_ns: now,
             virt_start: Some(virt_start),
             virt_end: Some(virt_end),
@@ -474,14 +477,16 @@ mod tests {
         let tracer = Tracer::new();
         {
             let _g = span!(tracer, "execute");
-            tracer.device_event("ocl.h2d", "vx", 1024, 0.0, 0.25);
-            tracer.device_event("ocl.kernel", "mag", 0, 0.25, 0.75);
+            tracer.device_event("ocl.h2d", "vx", 1024, 0.0, 0.25, Duration::ZERO);
+            tracer.device_event("ocl.kernel", "mag", 0, 0.25, 0.75, Duration::from_nanos(1));
         }
         let trace = tracer.snapshot();
         assert_eq!(trace.spans().len(), 3);
         assert_eq!(trace.spans()[1].parent, Some(0));
         assert_eq!(trace.spans()[1].meta_u64("bytes"), Some(1024));
         assert_eq!(trace.spans()[2].virt_seconds(), Some(0.5));
+        assert_eq!(trace.spans()[1].wall_ns(), 0);
+        assert_eq!(trace.spans()[2].wall_ns(), 1, "the host body's wall time");
         assert!((trace.device_seconds() - 0.75).abs() < 1e-12);
     }
 

@@ -126,3 +126,46 @@ fn model_and_real_mode_agree_on_the_virtual_clock() {
     let real = traced_run(Strategy::Fusion, ExecMode::Real);
     assert!((model.device_seconds() - real.device_seconds()).abs() < 1e-12);
 }
+
+#[test]
+fn device_spans_carry_host_wall_time_and_untraced_virtual_times() {
+    let fields = real_fields(16 * 16 * 16);
+    let derive = |traced: bool| {
+        let mut engine = Engine::new(DeviceProfile::nvidia_m2050());
+        if traced {
+            engine.set_tracer(Tracer::new());
+        }
+        engine
+            .derive("mag = sqrt(u*u + v*v + w*w)", &fields, Strategy::Fusion)
+            .expect("derivation succeeds")
+    };
+    let traced = derive(true);
+    let untraced = derive(false);
+    let trace = traced.trace.expect("tracer attached");
+    let kernel = trace
+        .spans()
+        .iter()
+        .find(|s| s.name == "ocl.kernel")
+        .expect("kernel span");
+    assert!(kernel.wall_ns() > 0, "the kernel body's host time");
+    // Timing the host body leaves the virtual clock alone: every device
+    // span's endpoints are bit-identical to the untraced run's events.
+    let spans: Vec<(u64, u64)> = trace
+        .spans()
+        .iter()
+        .filter(|s| s.name.starts_with("ocl."))
+        .map(|s| {
+            (
+                s.virt_start.unwrap().to_bits(),
+                s.virt_end.unwrap().to_bits(),
+            )
+        })
+        .collect();
+    let events: Vec<(u64, u64)> = untraced
+        .profile
+        .events
+        .iter()
+        .map(|e| (e.t_start.to_bits(), e.t_end.to_bits()))
+        .collect();
+    assert_eq!(spans, events);
+}
